@@ -90,6 +90,12 @@ fn alloc_count() -> Option<u64> {
 const GRID: [(usize, usize); 9] =
     [(4, 3), (4, 5), (4, 8), (16, 3), (16, 5), (16, 8), (24, 3), (24, 5), (24, 8)];
 
+/// Warm-up plans per configuration; their mean cost sizes the timed run.
+const WARM_PLANS: u32 = 3;
+
+/// Wall-clock seconds each configuration's timed run aims for.
+const TARGET_SECS: f64 = 1.0;
+
 /// Same synthetic-instance recipe as the criterion `scheduler` bench:
 /// monotone subset utilities, latencies 15–50 ms, deadlines 60–400 ms.
 fn build_instance(n: usize, m: usize, seed: u64) -> ScheduleInput {
@@ -177,17 +183,16 @@ fn run_bench() -> BenchResult {
         let input = build_instance(n, m, 7);
         // Warm the scratch to its high-water mark for this shape, then
         // measure steady state only.
-        for _ in 0..3 {
+        let warm_t0 = Instant::now();
+        for _ in 0..WARM_PLANS {
             dp.plan_into(&input, &mut scratch, &mut plan);
         }
+        let warm_ns = warm_t0.elapsed().as_nanos() as f64 / WARM_PLANS as f64;
         let nodes_per_plan = scratch.stats().nodes_expanded;
-        // Plans cost ~40 µs (n=4, m=3) to ~100 ms (n=24, m=8); scale the
-        // iteration count so every configuration stays near a second.
-        let iters: u64 = match m {
-            8 => 10,
-            5 => 50,
-            _ => 400,
-        };
+        // Plans cost from ~20 µs (n=4, m=3) to a few ms (n=24, m=8); size the
+        // iteration count from the warm-up so every configuration runs for
+        // about `TARGET_SECS`.
+        let iters = (TARGET_SECS * 1e9 / warm_ns.max(1.0)).clamp(10.0, 1e6) as u64;
         let allocs_before = alloc_count();
         let t0 = Instant::now();
         for _ in 0..iters {

@@ -372,6 +372,13 @@ pub struct SchembleEngine<'a> {
     /// Second availability scratch for the raw (unadjusted) lookups the
     /// ForceAll fallback and explainability paths need.
     avail_raw: Vec<SimTime>,
+    /// Re-plan scratch, recovered after every plan like `avail_buf`: the
+    /// sorted ids of the plannable queries…
+    plan_ids: Vec<u64>,
+    /// …their [`BufferedQuery`] rows…
+    plan_queries: Vec<BufferedQuery>,
+    /// …and the ensemble's planned latencies, computed once.
+    plan_latencies: Vec<SimDuration>,
 }
 
 impl<'a> SchembleEngine<'a> {
@@ -395,6 +402,9 @@ impl<'a> SchembleEngine<'a> {
             score_ready: vec![false; workload.len()],
             avail_buf: Vec::new(),
             avail_raw: Vec::new(),
+            plan_ids: Vec::new(),
+            plan_queries: Vec::new(),
+            plan_latencies: ensemble.planned_latencies(),
         }
     }
 
@@ -615,9 +625,11 @@ impl<'a> SchembleEngine<'a> {
 
     /// Re-plans the unstarted buffer; updates when the new plan takes effect.
     fn replan(&mut self, now: SimTime, backend: &mut dyn ExecutionBackend) {
-        let mut ids: Vec<u64> =
-            self.open.iter().filter(|(_, s)| !s.frozen && !s.closed).map(|(&id, _)| id).collect();
+        let mut ids = std::mem::take(&mut self.plan_ids);
+        ids.clear();
+        ids.extend(self.open.iter().filter(|(_, s)| !s.frozen && !s.closed).map(|(&id, _)| id));
         if ids.is_empty() {
+            self.plan_ids = ids;
             self.plan_ready_at = self.plan_ready_at.max(now);
             return;
         }
@@ -638,23 +650,22 @@ impl<'a> SchembleEngine<'a> {
                 }
             }
         }
-        let queries: Vec<BufferedQuery> = ids
-            .iter()
-            .map(|id| {
-                let s = &self.open[id];
-                BufferedQuery {
-                    id: *id,
-                    arrival: s.arrival,
-                    deadline: s.deadline,
-                    utilities: s.utilities.clone(),
-                    score: s.score,
-                }
-            })
-            .collect();
+        let mut queries = std::mem::take(&mut self.plan_queries);
+        queries.clear();
+        queries.extend(ids.iter().map(|id| {
+            let s = &self.open[id];
+            BufferedQuery {
+                id: *id,
+                arrival: s.arrival,
+                deadline: s.deadline,
+                utilities: s.utilities.clone(),
+                score: s.score,
+            }
+        }));
         let input = ScheduleInput {
             now,
             availability,
-            latencies: self.ensemble.planned_latencies(),
+            latencies: std::mem::take(&mut self.plan_latencies),
             queries,
         };
         let config = self.config;
@@ -725,9 +736,12 @@ impl<'a> SchembleEngine<'a> {
                 });
             }
         }
-        // Reclaim the availability vector's capacity for the next re-plan.
+        // Reclaim the scratch vectors' capacity for the next re-plan.
         self.avail_buf = input.availability;
         self.avail_buf.clear();
+        self.plan_latencies = input.latencies;
+        self.plan_queries = input.queries;
+        self.plan_ids = ids;
     }
 
     /// Starts tasks on idle executors per the current plan, in EDF order.
@@ -935,7 +949,7 @@ impl<'a> SchembleEngine<'a> {
         let mut outputs = std::mem::take(&mut state.outputs);
         outputs.sort_by_key(|(k, _)| *k);
         let result = self.config.assembler.assemble(self.ensemble, &outputs, state.set);
-        let (correct, score) = evaluate(self.ensemble, &q.sample, &result);
+        let (correct, score) = evaluate(self.ensemble, &q.sample, &outputs, &result);
         self.records[query as usize].completion = Some(now);
         self.records[query as usize].outcome = if degraded {
             QueryOutcome::Degraded { correct, score }
@@ -1506,7 +1520,7 @@ impl<'a> ImmediateEngine<'a> {
         let mut outputs = done.outputs;
         outputs.sort_by_key(|(k, _)| *k);
         let result = self.assembler.assemble(self.ensemble, &outputs, done.set);
-        let (correct, score) = evaluate(self.ensemble, &q.sample, &result);
+        let (correct, score) = evaluate(self.ensemble, &q.sample, &outputs, &result);
         self.records[query as usize].completion = Some(now);
         self.records[query as usize].models_used = done.set.len();
         self.completions.push((query, (now - q.arrival).as_secs_f64()));

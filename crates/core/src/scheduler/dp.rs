@@ -27,7 +27,8 @@
 //! [`DpScheduler::plan_into`] is allocation-free in steady state: all working
 //! memory lives in the caller's [`SchedScratch`] (finish times in a flat
 //! `node*m+k` arena, node metadata with *cached* dominance keys, per-query
-//! feasible-subset lists filtered once per plan), and the result is written
+//! feasible-subset lists filtered once per plan — subsets that a proper
+//! subset matches in reward are never extended), and the result is written
 //! into a reusable [`SchedulePlan`]. Every optimisation preserves the plan
 //! bit-for-bit against the naive formulation — the retained reference
 //! implementation under `#[cfg(test)]` and the differential property test
@@ -151,17 +152,34 @@ impl Scheduler for DpScheduler {
         });
 
         // Feasible-subset lists, filtered once per query instead of once per
-        // frontier node: zero quantized reward is skip-equivalent, and a
-        // subset whose *best-case* completion (from the start times — node
-        // times only ever grow) misses the deadline can never be feasible.
+        // frontier node:
+        // * a subset is dropped when some proper subset (∅ included, at
+        //   reward 0) reaches at least its quantized reward. From any node
+        //   the smaller extension then Pareto-dominates the larger one and,
+        //   generated earlier with total no larger, sorts before it; so the
+        //   larger one is never kept by the prune nor picked by the final
+        //   fold, and omitting it changes no plan. `sub_best[mask]` holds the
+        //   best quantized reward over all subsets of `mask`, built in
+        //   ascending mask order (every subset precedes its supersets);
+        // * a subset whose *best-case* completion (from the start times —
+        //   node times only ever grow) misses the deadline can never be
+        //   feasible. Its supersets cannot be either, so the order of the two
+        //   filters does not matter.
         // Mask order is preserved: candidate generation order decides ties,
         // so reordering here would change plans.
         scratch.feas_bounds.push(0);
         for &qi in planned {
             let q = &input.queries[qi];
+            scratch.sub_best.clear();
+            scratch.sub_best.resize(1 << m, 0);
             for set in ModelSet::all_nonempty(m) {
                 let quantized = (q.utilities[set.0 as usize] / delta).floor() as u64;
-                if quantized == 0 {
+                let mut proper_best = 0u64;
+                for k in set.iter() {
+                    proper_best = proper_best.max(scratch.sub_best[set.without(k).0 as usize]);
+                }
+                scratch.sub_best[set.0 as usize] = proper_best.max(quantized);
+                if quantized <= proper_best {
                     continue;
                 }
                 let mut c_min = SimTime::ZERO;
@@ -604,22 +622,82 @@ mod tests {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
         /// The scratch-based DP is byte-identical to the reference on random
-        /// instances: assignments, order and `work` all match.
+        /// instances: assignments, order and `work` all match. Half the cases
+        /// use plateau rows, where subsets and supersets tie after
+        /// quantization and the subset-dominance filter does most work.
         #[test]
         fn differential_plan_equality(
             seed in 0u64..10_000,
             n in 1usize..=8,
-            m in 1usize..=6,
+            m in 1usize..=8,
             delta_idx in 0usize..4,
             max_frontier in 1usize..=64,
+            plateaus in any::<bool>(),
         ) {
             let delta = [0.01, 0.05, 0.001, 0.2][delta_idx];
-            let input = random_instance(seed, n, m);
+            let input =
+                if plateaus { plateau_instance(seed, n, m) } else { random_instance(seed, n, m) };
             let sched = DpScheduler { delta, max_frontier, max_queries: 24 };
             let fast = sched.plan(&input);
             let slow = reference::plan(&sched, &input);
             prop_assert_eq!(fast, slow);
+        }
+    }
+
+    #[test]
+    fn matches_reference_on_profiled_cifar6_rows() {
+        // The rows the serving engine actually plans with: a fitted
+        // `AccuracyProfile` of the 6-model CIFAR zoo, one row per score bin.
+        use crate::discrepancy::{DifficultyMetric, DiscrepancyScorer};
+        use crate::profiling::AccuracyProfile;
+        use schemble_models::{zoo, DifficultyDist, SampleGenerator};
+
+        let ens = zoo::cifar_zoo(6, 42);
+        let history = SampleGenerator::new(ens.spec, DifficultyDist::Uniform, 42).batch(0, 400);
+        let scorer = DiscrepancyScorer::fit(&ens, &history, DifficultyMetric::Discrepancy);
+        let scores = scorer.score_batch(&ens, &history);
+        let profile = AccuracyProfile::fit(&ens, &history, &scores, AccuracyProfile::DEFAULT_BINS);
+        let bins = profile.bins();
+        let latencies = ens.planned_latencies();
+        let mut rows_with_plateaus = 0;
+        for b in 0..bins {
+            let row = profile.utility_vector((b as f64 + 0.5) / bins as f64);
+            let plateau = ModelSet::all_nonempty(6).any(|s| {
+                s.len() > 1 && s.iter().any(|k| row[s.without(k).0 as usize] >= row[s.0 as usize])
+            });
+            rows_with_plateaus += usize::from(plateau);
+        }
+        assert!(rows_with_plateaus > 0, "expected subset/superset plateaus in the fitted rows");
+        for seed in 0..12u64 {
+            use rand::Rng;
+            let mut rng = schemble_sim::rng::stream_rng(seed, "cifar6-rows");
+            let n = rng.random_range(1..=8usize);
+            let queries = (0..n as u64)
+                .map(|id| BufferedQuery {
+                    id,
+                    arrival: at(id),
+                    deadline: at(rng.random_range(30..160)),
+                    utilities: profile.utility_vector(rng.random_range(0.0..1.0)),
+                    score: 0.5,
+                })
+                .collect();
+            let input = ScheduleInput {
+                now: at(0),
+                availability: (0..6).map(|_| at(rng.random_range(0..20))).collect(),
+                latencies: latencies.clone(),
+                queries,
+            };
+            for delta in [0.01, 0.05, 0.001] {
+                let sched = DpScheduler { delta, ..DpScheduler::default() };
+                assert_eq!(
+                    sched.plan(&input),
+                    reference::plan(&sched, &input),
+                    "seed {seed} n {n} δ {delta}"
+                );
+            }
         }
     }
 
@@ -681,6 +759,43 @@ mod tests {
         assert!(first.nodes_expanded > 0 && first.nodes_kept > 0);
         sched.plan_into(&input, &mut scratch, &mut out);
         assert_eq!(scratch.stats(), first);
+    }
+
+    /// Instances whose rows stress the subset-dominance filter: rewards
+    /// drawn from a coarse grid (jittered by less than the coarser δs) so
+    /// subsets and supersets often land in one quantization cell, exact
+    /// plateaus copied up from a subset, and — for half the queries — no
+    /// monotone repair, so a superset may be worth less than its subsets.
+    /// Model start times are staggered to mix in start-time infeasibility.
+    fn plateau_instance(seed: u64, n: usize, m: usize) -> ScheduleInput {
+        use rand::Rng;
+        const LEVELS: [f64; 6] = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
+        let mut rng = schemble_sim::rng::stream_rng(seed, "sched-plateaus");
+        let latencies: Vec<SimDuration> = (0..m).map(|_| ms(rng.random_range(5..40))).collect();
+        let availability = (0..m).map(|_| at(rng.random_range(0..30))).collect();
+        let queries = (0..n as u64)
+            .map(|id| {
+                let monotone = rng.random_bool(0.5);
+                let mut utilities = vec![0.0f64; 1 << m];
+                for set in ModelSet::all_nonempty(m) {
+                    let mask = set.0 as usize;
+                    utilities[mask] = if set.len() > 1 && rng.random_bool(0.3) {
+                        let k = set.iter().nth(rng.random_range(0..set.len())).expect("member");
+                        utilities[set.without(k).0 as usize]
+                    } else {
+                        LEVELS[rng.random_range(0..LEVELS.len())] + rng.random_range(0.0..0.004)
+                    };
+                    if monotone {
+                        for k in set.iter() {
+                            utilities[mask] =
+                                utilities[mask].max(utilities[set.without(k).0 as usize]);
+                        }
+                    }
+                }
+                query(id, rng.random_range(20..120), utilities)
+            })
+            .collect();
+        ScheduleInput { now: at(0), availability, latencies, queries }
     }
 
     /// Deterministic pseudo-random small instance generator for tests.

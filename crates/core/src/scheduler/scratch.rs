@@ -27,7 +27,9 @@ use schemble_sim::SimTime;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DpStats {
     /// Candidate nodes generated across all layers: skip-copies plus
-    /// extensions that passed the per-node feasibility checks.
+    /// extensions that passed the per-node feasibility checks. Extensions by
+    /// a subset that some proper subset matches in quantized reward are
+    /// dominated and never generated, so they are not counted.
     pub nodes_expanded: u64,
     /// Frontier nodes surviving Pareto pruning, summed over layers.
     pub nodes_kept: u64,
@@ -51,9 +53,10 @@ pub(crate) struct NodeMeta {
 
 /// A feasible subset for one query, precomputed once per plan.
 ///
-/// Subsets whose quantized reward is zero, or whose *best-case* completion
-/// (from the plan's start times) already overshoots the deadline, are
-/// filtered here — once per query instead of once per frontier node.
+/// Subsets whose quantized reward some proper subset (the empty set
+/// included) already reaches, or whose *best-case* completion (from the
+/// plan's start times) already overshoots the deadline, are filtered here —
+/// once per query instead of once per frontier node.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FeasibleSet {
     pub set: ModelSet,
@@ -89,6 +92,9 @@ pub struct SchedScratch {
     pub(crate) feas: Vec<FeasibleSet>,
     /// …and the offset of each planned query's slice (`len = planned + 1`).
     pub(crate) feas_bounds: Vec<u32>,
+    /// Per-mask best quantized reward over all subsets of the mask, rebuilt
+    /// for each query while its feasible-subset list is filtered.
+    pub(crate) sub_best: Vec<u64>,
     /// Counters from the most recent `plan_into` call.
     pub stats: DpStats,
 }

@@ -59,8 +59,26 @@ impl Ensemble {
     /// The full ensemble's output on `sample` — the evaluation ground truth
     /// of §VIII.
     pub fn ensemble_output(&self, sample: &Sample) -> Output {
-        let outputs = self.infer_all(sample);
-        let present: Vec<(usize, &Output)> = outputs.iter().enumerate().collect();
+        self.ensemble_output_reusing(sample, &[])
+    }
+
+    /// [`Ensemble::ensemble_output`], reusing outputs already computed on
+    /// `sample`: `known` holds `(model index, output)` pairs sorted by
+    /// strictly ascending index, and only the models it lacks run.
+    /// [`BaseModel::infer`] is a pure function of (model, sample), so the
+    /// result is bit-identical to full re-inference.
+    pub fn ensemble_output_reusing(&self, sample: &Sample, known: &[(usize, Output)]) -> Output {
+        debug_assert!(
+            known.windows(2).all(|w| w[0].0 < w[1].0) && known.iter().all(|(k, _)| *k < self.m()),
+            "known outputs must be sorted by distinct in-range model index"
+        );
+        let fresh: Vec<(usize, Output)> = (0..self.m())
+            .filter(|k| known.binary_search_by_key(k, |(j, _)| *j).is_err())
+            .map(|k| (k, self.models[k].infer(sample, &self.spec)))
+            .collect();
+        let mut present: Vec<(usize, &Output)> =
+            known.iter().chain(&fresh).map(|(k, o)| (*k, o)).collect();
+        present.sort_unstable_by_key(|&(k, _)| k);
         self.aggregate(&present)
     }
 
@@ -197,6 +215,18 @@ mod tests {
         let ens = small_ensemble();
         let s = gen().sample(12);
         assert_eq!(ens.subset_output(&s, ens.full_set()), ens.ensemble_output(&s));
+    }
+
+    #[test]
+    fn reusing_known_outputs_gives_the_same_reference() {
+        let ens = small_ensemble();
+        for s in gen().batch(0, 20) {
+            let full = ens.ensemble_output(&s);
+            for set in ModelSet::all_nonempty(ens.m()) {
+                let known = ens.infer_subset(&s, set);
+                assert_eq!(ens.ensemble_output_reusing(&s, &known), full, "set {set}");
+            }
+        }
     }
 
     #[test]

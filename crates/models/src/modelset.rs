@@ -87,8 +87,13 @@ impl ModelSet {
     }
 
     /// Iterates over member indices, ascending.
-    pub fn iter(self) -> impl Iterator<Item = usize> {
-        (0..32u32).filter(move |&k| (self.0 >> k) & 1 == 1).map(|k| k as usize)
+    ///
+    /// Pops set bits with `trailing_zeros`, so the cost is one step per
+    /// member rather than one per bit position — this runs in every DP
+    /// inner loop.
+    #[inline]
+    pub fn iter(self) -> Members {
+        Members(self.0)
     }
 
     /// All non-empty subsets of an `m`-model ensemble (2^m − 1 of them).
@@ -103,6 +108,35 @@ impl ModelSet {
         (0u32..(1u32 << m)).map(ModelSet)
     }
 }
+
+/// Iterator over a [`ModelSet`]'s member indices, ascending (see
+/// [`ModelSet::iter`]).
+#[derive(Debug, Clone)]
+pub struct Members(u32);
+
+impl Iterator for Members {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let k = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(k)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.0.count_ones() as usize;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Members {}
+
+impl std::iter::FusedIterator for Members {}
 
 impl std::fmt::Display for ModelSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -162,6 +196,23 @@ mod tests {
         // Every enumerated subset is within the ensemble.
         for s in ModelSet::all_nonempty(3) {
             assert!(s.is_subset_of(ModelSet::full(3)));
+        }
+    }
+
+    proptest::proptest! {
+        /// The bit-popping iterator yields exactly the sequence of the
+        /// straightforward scan over all 32 bit positions.
+        #[test]
+        fn iter_matches_bit_scan(mask in proptest::prelude::any::<u32>()) {
+            for mask in [mask, 0, u32::MAX, 1 << 31] {
+                let set = ModelSet(mask);
+                let scan: Vec<usize> =
+                    (0..32usize).filter(|&k| (mask >> k) & 1 == 1).collect();
+                let popped: Vec<usize> = set.iter().collect();
+                proptest::prop_assert_eq!(&popped, &scan);
+                proptest::prop_assert_eq!(set.len(), popped.len());
+                proptest::prop_assert_eq!(set.iter().len(), popped.len());
+            }
         }
     }
 
