@@ -11,20 +11,20 @@
 //! the runtime drives the *identical* engine code over a [`SimBackend`], so
 //! its admission decisions match the DES pipeline's by construction.
 //!
+//! Both backends are hosts of one [`ExecutorBank`], the executor state
+//! machine: a backend only supplies time (an event queue, or worker
+//! threads and a wall clock), so their executor semantics agree by
+//! construction.
+//!
 //! Executors are indexed `0..executors()`. For the Schemble pipeline the
 //! executor index *is* the base-model index (identity deployment); the
 //! immediate-selection family maps instances to base models through its
 //! `Deployment`.
 
-use rand::rngs::StdRng;
-use schemble_sim::rng::stream_rng;
-use schemble_sim::{
-    BatchConfig, EventQueue, FaultPlan, FaultState, FaultTransition, LatencyModel, ServerBank,
-    SimDuration, SimTime, TaskFate, TaskId,
-};
-use schemble_trace::{TraceEvent, TraceSink};
-use std::collections::VecDeque;
-use std::sync::Arc;
+use crate::bank::ExecutorBank;
+use crate::engine::PipelineEngine;
+use schemble_data::Workload;
+use schemble_sim::{EventQueue, SimTime};
 
 /// An event surfaced by a backend to the engine driving it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,15 +75,18 @@ pub struct ExecutorUsage {
 ///
 /// Contract shared by all implementations:
 ///
-/// * **Non-preemptive.** A started task runs to completion; `start_task`
-///   panics (or asserts) if the executor is busy.
+/// * **Non-preemptive.** A started task runs to completion; starting one
+///   on a busy executor panics.
 /// * **Sampling at submission.** The task's (synthetic) execution time is
 ///   drawn from the executor's latency model when the task is submitted
-///   (`start_task`/`enqueue_task`), in call order — this keeps runs
+///   (`submit_batch`/`enqueue_task`), in call order — this keeps runs
 ///   deterministic for a fixed seed regardless of substrate.
 /// * **Completion surfaces as an event.** The backend delivers
 ///   [`BackendEvent::TaskDone`] through its own event channel; engines
 ///   never poll.
+///
+/// Every [`BankHost`] is an `ExecutionBackend`: the executor state lives in
+/// its [`ExecutorBank`], so all backends share one implementation.
 pub trait ExecutionBackend {
     /// Number of executors (server instances).
     fn executors(&self) -> usize;
@@ -93,17 +96,17 @@ pub trait ExecutionBackend {
     fn is_idle(&self, executor: usize) -> bool;
 
     /// True when `executor` is up (not inside a fault-plan crash window and
-    /// its worker alive). Backends without fault support are always up.
-    fn is_up(&self, _executor: usize) -> bool {
-        true
-    }
+    /// its worker alive).
+    fn is_up(&self, executor: usize) -> bool;
 
     /// Indices of currently idle executors, ascending.
-    fn idle_executors(&self) -> Vec<usize>;
+    fn idle_executors(&self) -> Vec<usize> {
+        (0..self.executors()).filter(|&k| self.is_idle(k)).collect()
+    }
 
     /// True when any executor is idle.
     fn any_idle(&self) -> bool {
-        !self.idle_executors().is_empty()
+        (0..self.executors()).any(|k| self.is_idle(k))
     }
 
     /// Earliest time `executor` could start a new task, counting its
@@ -111,10 +114,9 @@ pub trait ExecutionBackend {
     fn available_at(&self, executor: usize, now: SimTime) -> SimTime;
 
     /// [`Self::available_at`] for every executor, written into `out`
-    /// (cleared first). The scratch-reuse twin of [`Self::availability`]:
-    /// callers that plan repeatedly hold one buffer and refill it, so
-    /// steady-state planning allocates nothing even when batching multiplies
-    /// the number of availability queries per plan.
+    /// (cleared first). Callers that plan repeatedly hold one buffer and
+    /// refill it, so steady-state planning allocates nothing even when
+    /// batching multiplies the number of availability queries per plan.
     fn availability_into(&self, now: SimTime, out: &mut Vec<SimTime>) {
         out.clear();
         for k in 0..self.executors() {
@@ -122,17 +124,15 @@ pub trait ExecutionBackend {
         }
     }
 
-    /// [`Self::available_at`] for every executor (allocating convenience
-    /// wrapper over [`Self::availability_into`]).
-    fn availability(&self, now: SimTime) -> Vec<SimTime> {
-        let mut out = Vec::with_capacity(self.executors());
-        self.availability_into(now, &mut out);
-        out
-    }
-
-    /// Starts `query` on an idle `executor` immediately (dispatch-on-idle
-    /// pipelines). Panics if the executor is busy.
-    fn start_task(&mut self, executor: usize, query: u64, now: SimTime);
+    /// Starts `query` on idle `executor` at once — or, on a batching
+    /// backend, adds it to the executor's open batch, opening one if none
+    /// is pending (cross-query batched execution). A batch launches when it
+    /// reaches the configured `batch_max` or when its batching window
+    /// expires, whichever is first, and every member then executes in one
+    /// pass whose duration follows the [`schemble_sim::BatchCurve`]. The
+    /// member's synthetic duration and fault fate are drawn at submission,
+    /// in call order. Panics if the executor is busy or down.
+    fn submit_batch(&mut self, executor: usize, query: u64, now: SimTime);
 
     /// Appends `query` to `executor`'s FIFO backlog (immediate-selection
     /// pipelines); the executor starts it as soon as it idles.
@@ -141,37 +141,19 @@ pub trait ExecutionBackend {
     /// Cancels `executor`'s *running* task for `query` (anytime early exit):
     /// the task stops occupying the executor now, its completion never
     /// surfaces, and the time spent so far is charged as busy time — exactly
-    /// the accounting a crash kill performs, minus the failure. On a
-    /// batching backend, a member of a not-yet-launched open batch is simply
-    /// removed (nothing ran, nothing is charged) and the call succeeds; a
-    /// member of an already-launched batch is refused — the whole batch
-    /// shares one forward pass and cannot shed one member mid-flight.
-    /// Returns whether a matching task was cancelled; `false` means the
-    /// executor is running something else (or nothing), e.g. because a crash
-    /// already killed the task, and the caller must leave its bookkeeping to
-    /// the failure path. Backends without cancellation support always refuse.
-    fn cancel_task(&mut self, _executor: usize, _query: u64, _now: SimTime) -> bool {
-        false
-    }
-
-    /// Adds `query`'s task to `executor`'s open batch, opening one if none
-    /// is pending (cross-query batched execution). The batch launches when
-    /// it reaches the backend's configured `batch_max` — or when its
-    /// batching window expires, whichever is first — and every member then
-    /// executes in one pass whose duration follows the backend's
-    /// [`schemble_sim::BatchCurve`]. Like `start_task`, the member's
-    /// synthetic duration and fault fate are drawn at submission, in call
-    /// order. On a backend without batching (or with it inactive) this *is*
-    /// [`Self::start_task`]: a batch of one, launched immediately.
-    fn submit_batch(&mut self, executor: usize, query: u64, now: SimTime) {
-        self.start_task(executor, query, now);
-    }
+    /// the accounting a crash kill performs, minus the failure. A member of
+    /// a not-yet-launched open batch is simply removed (nothing ran, nothing
+    /// is charged) and the call succeeds; a member of an already-launched
+    /// batch is refused — the whole batch shares one forward pass and cannot
+    /// shed one member mid-flight. Returns whether a matching task was
+    /// cancelled; `false` means the executor is running something else (or
+    /// nothing), e.g. because a crash already killed the task, and the
+    /// caller must leave its bookkeeping to the failure path.
+    fn cancel_task(&mut self, executor: usize, query: u64, now: SimTime) -> bool;
 
     /// Number of tasks in `executor`'s open (not yet launched) batch; `0`
     /// without batching.
-    fn open_batch_len(&self, _executor: usize) -> usize {
-        0
-    }
+    fn open_batch_len(&self, executor: usize) -> usize;
 
     /// Asks the backend to surface [`BackendEvent::Wake`] at `at`.
     fn request_wake(&mut self, at: SimTime);
@@ -180,169 +162,131 @@ pub trait ExecutionBackend {
     fn usage(&self) -> Vec<ExecutorUsage>;
 }
 
-/// An open (still accepting) batch on one executor: members with their
-/// pre-drawn durations and fault fates, waiting for the batch to fill or
-/// its window to expire.
-struct OpenBatch {
-    /// `(query, sampled duration, doomed)`, in submission order.
-    members: Vec<(u64, SimDuration, bool)>,
-    opened_at: SimTime,
+/// A substrate that supplies time to an [`ExecutorBank`]: it times the
+/// runs the bank launches, feeds their reports back through
+/// [`ExecutorBank::retire_next`], and delivers wake-ups.
+pub trait BankHost {
+    /// The executors.
+    fn bank(&self) -> &ExecutorBank;
+
+    /// The executors, mutably.
+    fn bank_mut(&mut self) -> &mut ExecutorBank;
+
+    /// Times every run the bank launched since the last call (see
+    /// [`ExecutorBank::next_launch`]).
+    fn time_launches(&mut self);
+
+    /// Surfaces [`BackendEvent::Wake`] at `at`.
+    fn wake_at(&mut self, at: SimTime);
 }
 
-/// A launched batch occupying one executor until `completes_at`.
-struct RunningBatch {
-    /// Members whose completion/failure events are still queued.
-    members: Vec<u64>,
-    completes_at: SimTime,
-    /// Batched service time, charged to busy accounting once at retirement.
-    duration: SimDuration,
+impl<H: BankHost> ExecutionBackend for H {
+    fn executors(&self) -> usize {
+        self.bank().executors()
+    }
+
+    fn is_idle(&self, executor: usize) -> bool {
+        self.bank().is_idle(executor)
+    }
+
+    fn is_up(&self, executor: usize) -> bool {
+        self.bank().is_up(executor)
+    }
+
+    fn available_at(&self, executor: usize, now: SimTime) -> SimTime {
+        self.bank().available_at(executor, now)
+    }
+
+    fn submit_batch(&mut self, executor: usize, query: u64, now: SimTime) {
+        self.bank_mut().submit(executor, query, now);
+        self.time_launches();
+    }
+
+    fn enqueue_task(&mut self, executor: usize, query: u64, now: SimTime) {
+        self.bank_mut().enqueue(executor, query, now);
+        self.time_launches();
+    }
+
+    fn cancel_task(&mut self, executor: usize, query: u64, now: SimTime) -> bool {
+        let cancelled = self.bank_mut().cancel(executor, query, now);
+        self.time_launches();
+        cancelled
+    }
+
+    fn open_batch_len(&self, executor: usize) -> usize {
+        self.bank().open_len(executor)
+    }
+
+    fn request_wake(&mut self, at: SimTime) {
+        self.wake_at(at);
+    }
+
+    fn usage(&self) -> Vec<ExecutorUsage> {
+        self.bank().usage()
+    }
 }
 
-/// The discrete-event-simulation backend: a [`ServerBank`] plus an
-/// [`EventQueue`], with synthetic latencies drawn from a named RNG stream.
+/// An entry of the DES event queue.
+#[derive(Clone, Copy)]
+enum Queued {
+    /// Handed to the engine as is: arrivals, wake-ups, fault transitions
+    /// and crash casualties.
+    Event(BackendEvent),
+    /// A member of `executor`'s run `run` is due to report.
+    Report { executor: usize, run: u64 },
+}
+
+/// The discrete-event-simulation backend: an [`ExecutorBank`] timed by an
+/// [`EventQueue`].
 ///
 /// [`SimBackend::pop_event`] is the simulation loop's clock: it advances
-/// virtual time to the next event and performs the executor-side mechanics
-/// of completions (retiring the finished task and starting the next backlog
-/// task) before handing the event to the engine.
+/// virtual time to the next event and retires reports in the bank (which
+/// starts the executor's next backlog task) before handing the event to
+/// the engine.
 pub struct SimBackend {
-    servers: ServerBank,
-    events: EventQueue<BackendEvent>,
-    latencies: Vec<LatencyModel>,
-    rng: StdRng,
-    trace: Arc<TraceSink>,
-    /// Fault-plan interpreter; `None` keeps the backend byte-identical to
-    /// the pre-fault behaviour (no fault RNG draws, no extra events).
-    faults: Option<FaultState>,
-    /// Up/down transitions from the plan (sorted), for recovery-time lookups.
-    transitions: Vec<FaultTransition>,
-    /// Per-executor timeout derived from the plan's latency quantile.
-    timeouts: Vec<Option<SimDuration>>,
-    /// Whether each executor is currently inside a crash window.
-    down: Vec<bool>,
-    /// Failure flag per *backlogged* task, parallel to each server's FIFO
-    /// backlog (fates are decided at submission, consumed at start).
-    pending_fate: Vec<VecDeque<bool>>,
-    /// Stale completion/failure events of crash-killed tasks, keyed by
-    /// `(executor, query, scheduled_time)`; swallowed when they pop.
-    suppressed: Vec<(usize, u64, SimTime)>,
-    /// Cross-query batching; `None` (or an inactive config) keeps the
-    /// backend byte-identical to an unbatched build.
-    batching: Option<BatchConfig>,
-    /// Open batch per executor (batched execution runs beside the
-    /// [`ServerBank`], which only ever sees unbatched tasks).
-    open_batches: Vec<Option<OpenBatch>>,
-    /// Launched batch per executor.
-    running_batches: Vec<Option<RunningBatch>>,
-    /// Monotonic batch-id source for [`TraceEvent::BatchFormed`].
-    batch_seq: u64,
-    /// Busy time accrued by batched passes, per executor.
-    batch_busy: Vec<SimDuration>,
-    /// Tasks completed through batched passes, per executor.
-    batch_tasks: Vec<u64>,
-    /// Total tasks launched as batch members (counters backfill).
-    tasks_batched: u64,
-    /// Size of every launched batch in launch order (histogram backfill).
-    batch_sizes: Vec<u32>,
+    bank: ExecutorBank,
+    events: EventQueue<Queued>,
 }
 
 impl SimBackend {
-    /// A backend with one executor per entry of `latencies`, drawing
-    /// execution times from the `(seed, stream)` RNG stream.
-    pub fn new(latencies: Vec<LatencyModel>, seed: u64, stream: &str) -> Self {
-        let n = latencies.len();
-        Self {
-            servers: ServerBank::new(n),
-            events: EventQueue::new(),
-            latencies,
-            rng: stream_rng(seed, stream),
-            trace: TraceSink::disabled(),
-            faults: None,
-            transitions: Vec::new(),
-            timeouts: vec![None; n],
-            down: vec![false; n],
-            pending_fate: (0..n).map(|_| VecDeque::new()).collect(),
-            suppressed: Vec::new(),
-            batching: None,
-            open_batches: (0..n).map(|_| None).collect(),
-            running_batches: (0..n).map(|_| None).collect(),
-            batch_seq: 0,
-            batch_busy: vec![SimDuration::ZERO; n],
-            batch_tasks: vec![0; n],
-            tasks_batched: 0,
-            batch_sizes: Vec::new(),
-        }
-    }
-
-    /// Emits task lifecycle events into `trace` (virtual timestamps).
-    pub fn with_trace(mut self, trace: Arc<TraceSink>) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Enables cross-query batching. An inactive config (`batch_max <= 1`)
-    /// is ignored entirely, keeping the backend byte-identical to an
-    /// unbatched build — the off switch `--batch-max 1` relies on.
-    pub fn with_batching(mut self, config: BatchConfig) -> Self {
-        if config.active() {
-            self.batching = Some(config);
-        }
-        self
-    }
-
-    /// Total tasks launched as batch members so far (feeds the
-    /// `tasks_batched_total` counter in virtual-clock runs).
-    pub fn tasks_batched(&self) -> u64 {
-        self.tasks_batched
-    }
-
-    /// Sizes of every batch launched so far, in launch order (feeds the
-    /// `batch_size` histogram in virtual-clock runs).
-    pub fn batch_sizes(&self) -> &[u32] {
-        &self.batch_sizes
-    }
-
-    /// Arms the backend with a fault plan, seeding the dedicated `"faults"`
-    /// RNG stream from `seed`. The plan's up/down transitions are pushed
-    /// into the event queue *now*, before any arrival, so every backend
-    /// constructed this way observes them in the same total order.
-    pub fn with_faults(mut self, plan: FaultPlan, seed: u64) -> Self {
-        if plan.is_noop() {
-            return self;
-        }
-        let transitions = plan.transitions();
-        let state = FaultState::new(plan, seed);
-        self.timeouts = self.latencies.iter().map(|l| state.timeout_for(l)).collect();
-        for tr in &transitions {
-            if tr.executor >= self.latencies.len() {
-                continue;
-            }
-            let ev = if tr.up {
-                BackendEvent::ExecutorUp { executor: tr.executor }
+    /// A DES host for `bank`. The bank's fault transitions are queued now,
+    /// before any arrival, so every backend built this way observes them in
+    /// the same total order.
+    pub fn new(bank: ExecutorBank) -> Self {
+        let mut events = EventQueue::new();
+        for tr in bank.transitions() {
+            let executor = tr.executor;
+            let event = if tr.up {
+                BackendEvent::ExecutorUp { executor }
             } else {
-                BackendEvent::ExecutorDown { executor: tr.executor }
+                BackendEvent::ExecutorDown { executor }
             };
-            self.events.push(tr.at, ev);
+            events.push(tr.at, Queued::Event(event));
         }
-        self.transitions = transitions;
-        self.faults = Some(state);
-        self
+        Self { bank, events }
+    }
+
+    /// The backend of one DES run over `workload`: a host for `bank` with
+    /// every query's arrival queued.
+    pub fn for_run(bank: ExecutorBank, workload: &Workload) -> Self {
+        let mut backend = Self::new(bank);
+        for (i, q) in workload.queries.iter().enumerate() {
+            backend.push_arrival(q.arrival, i);
+        }
+        backend
     }
 
     /// Schedules `Arrival(index)` at `at`.
     pub fn push_arrival(&mut self, at: SimTime, index: usize) {
-        self.events.push(at, BackendEvent::Arrival(index));
+        self.events.push(at, Queued::Event(BackendEvent::Arrival(index)));
     }
 
     /// The virtual time of the next event this backend would surface,
     /// without advancing: the earlier of the event queue's head and any
-    /// due batch launch. Drivers that pause at fixed virtual-time
-    /// boundaries (the steal-epoch rendezvous) use this to process every
-    /// event strictly *before* a boundary first, so DES and virtual-clock
-    /// serving cut their epochs at identical instants.
+    /// due batch launch.
     pub fn peek_time(&self) -> Option<SimTime> {
         let head = self.events.peek_time();
-        match self.next_due_launch() {
+        match self.bank.next_due_launch() {
             Some((due, _)) => Some(head.map_or(due, |t| t.min(due))),
             None => head,
         }
@@ -350,419 +294,106 @@ impl SimBackend {
 
     /// Advances to and returns the next event, or `None` once drained.
     ///
-    /// Completions are applied to the server bank here (including starting
-    /// the executor's next backlog task), so by the time the engine sees
-    /// [`BackendEvent::TaskDone`] the executor is already idle or re-busy.
-    /// Failures are applied the same way; crash transitions kill the running
-    /// task and drop the backlog, surfacing one [`BackendEvent::TaskFailed`]
-    /// per affected task at the crash instant.
+    /// Reports are retired in the bank here, so by the time the engine sees
+    /// [`BackendEvent::TaskDone`] the executor is already idle or re-busy;
+    /// stale reports are swallowed. A crash transition kills the executor's
+    /// work and queues one [`BackendEvent::TaskFailed`] per casualty at the
+    /// crash instant.
     pub fn pop_event(&mut self) -> Option<(SimTime, BackendEvent)> {
         loop {
             // A full batch launches synchronously in `submit_batch`; an
             // unfilled one launches when its window expires. Launching due
             // batches *before* popping any event at or past their deadline
             // means virtual time never slides past a pending launch.
-            if let Some((due, k)) = self.next_due_launch() {
+            if let Some((due, k)) = self.bank.next_due_launch() {
                 if self.events.peek_time().is_none_or(|t| due <= t) {
-                    self.launch_batch(k, due);
+                    self.bank.launch_batch(k, due);
+                    self.time_launches();
                     continue;
                 }
             }
-            let (now, event) = self.events.pop()?;
-            match event {
-                BackendEvent::TaskDone { executor, query } => {
-                    if self.take_suppressed(executor, query, now) {
-                        continue;
-                    }
-                    if self.is_batch_member(executor, query) {
-                        self.retire_batch_member(executor, query, now, false);
-                    } else {
-                        self.servers.get_mut(executor).complete(TaskId(query), now);
-                        self.trace.emit(TraceEvent::TaskDone {
-                            t: now,
-                            query,
-                            executor: executor as u16,
-                        });
-                        self.start_next_from_backlog(executor, now);
-                    }
+            let (now, queued) = self.events.pop()?;
+            let event = match queued {
+                Queued::Report { executor, run } => {
+                    let Some(event) = self.bank.retire_next(executor, run, now) else { continue };
+                    self.time_launches();
+                    event
                 }
-                BackendEvent::TaskFailed { executor, query } => {
-                    if self.take_suppressed(executor, query, now) {
-                        continue;
+                Queued::Event(BackendEvent::ExecutorDown { executor }) => {
+                    for casualty in self.bank.crash(executor, now) {
+                        self.events.push(now, Queued::Event(casualty));
                     }
-                    if self.is_batch_member(executor, query) {
-                        self.retire_batch_member(executor, query, now, true);
-                        return Some((now, event));
-                    }
-                    // Scheduled failures (transient/timeout) still occupy the
-                    // server; crash notifications pushed by `ExecutorDown`
-                    // already released it and pass through untouched.
-                    let occupies =
-                        self.servers.get(executor).running().is_some_and(|r| r.task.0 == query);
-                    if occupies {
-                        self.servers.get_mut(executor).fail(TaskId(query), now);
-                        self.trace.emit(TraceEvent::TaskFailed {
-                            t: now,
-                            query,
-                            executor: executor as u16,
-                        });
-                        self.start_next_from_backlog(executor, now);
-                    }
+                    BackendEvent::ExecutorDown { executor }
                 }
-                BackendEvent::ExecutorDown { executor } => {
-                    self.down[executor] = true;
-                    self.trace.emit(TraceEvent::ExecutorDown { t: now, executor: executor as u16 });
-                    if let Some(run) = self.servers.get(executor).running() {
-                        // Its completion/failure event is still queued;
-                        // remember to swallow it when it pops.
-                        self.suppressed.push((executor, run.task.0, run.completes_at));
-                    }
-                    let mut casualties = Vec::new();
-                    let server = self.servers.get_mut(executor);
-                    casualties.extend(server.kill(now));
-                    casualties.extend(server.drain_backlog());
-                    self.pending_fate[executor].clear();
-                    // An open batch's members die like backlog casualties
-                    // (nothing ran); a launched batch is killed mid-pass:
-                    // partial batch time is charged and the members' queued
-                    // completions are swallowed when they pop.
-                    if let Some(open) = self.open_batches[executor].take() {
-                        casualties.extend(open.members.iter().map(|&(q, _, _)| TaskId(q)));
-                    }
-                    if let Some(run) = self.running_batches[executor].take() {
-                        let left = run.completes_at.saturating_since(now);
-                        let spent = SimDuration::from_micros(
-                            run.duration.as_micros().saturating_sub(left.as_micros()),
-                        );
-                        self.batch_busy[executor] = self.batch_busy[executor] + spent;
-                        for &query in &run.members {
-                            self.suppressed.push((executor, query, run.completes_at));
-                        }
-                        casualties.extend(run.members.into_iter().map(TaskId));
-                    }
-                    for task in casualties {
-                        self.trace.emit(TraceEvent::TaskFailed {
-                            t: now,
-                            query: task.0,
-                            executor: executor as u16,
-                        });
-                        self.events.push(now, BackendEvent::TaskFailed { executor, query: task.0 });
-                    }
+                Queued::Event(BackendEvent::ExecutorUp { executor }) => {
+                    self.bank.recover(executor, now);
+                    BackendEvent::ExecutorUp { executor }
                 }
-                BackendEvent::ExecutorUp { executor } => {
-                    self.down[executor] = false;
-                    self.trace.emit(TraceEvent::ExecutorUp { t: now, executor: executor as u16 });
-                }
-                BackendEvent::Arrival(_) | BackendEvent::Wake => {}
-            }
+                Queued::Event(event) => event,
+            };
             return Some((now, event));
         }
     }
 
-    fn take_suppressed(&mut self, executor: usize, query: u64, at: SimTime) -> bool {
-        match self.suppressed.iter().position(|&(e, q, t)| e == executor && q == query && t == at) {
-            Some(i) => {
-                self.suppressed.remove(i);
-                true
-            }
-            None => false,
+    /// The DES driver loop: hands `engine` every event strictly before
+    /// `before` (every event, when `None`) and returns the time of the last
+    /// one handled. Drivers that pause at virtual-time boundaries (the
+    /// steal-epoch rendezvous) pass the boundary, so DES and virtual-clock
+    /// serving cut their epochs at identical instants.
+    pub fn drive(
+        &mut self,
+        engine: &mut dyn PipelineEngine,
+        before: Option<SimTime>,
+    ) -> Option<SimTime> {
+        let mut last = None;
+        while before.is_none_or(|b| self.peek_time().is_some_and(|t| t < b)) {
+            let Some((now, event)) = self.pop_event() else { break };
+            engine.handle(event, now, self);
+            last = Some(now);
         }
-    }
-
-    fn fate_for(&mut self, executor: usize, now: SimTime, sampled: SimDuration) -> TaskFate {
-        match self.faults.as_mut() {
-            Some(f) => f.task_fate(executor, now, sampled, self.timeouts[executor]),
-            None => TaskFate { duration: sampled, failed: false },
-        }
-    }
-
-    fn start_next_from_backlog(&mut self, executor: usize, now: SimTime) {
-        if self.down[executor] {
-            return;
-        }
-        if let Some(run) = self.servers.get_mut(executor).start_next(now) {
-            let failed = self.pending_fate[executor].pop_front().unwrap_or(false);
-            let ev = if failed {
-                BackendEvent::TaskFailed { executor, query: run.task.0 }
-            } else {
-                BackendEvent::TaskDone { executor, query: run.task.0 }
-            };
-            self.events.push(run.completes_at, ev);
-            self.trace.emit(TraceEvent::TaskStart {
-                t: now,
-                query: run.task.0,
-                executor: executor as u16,
-            });
-        }
-    }
-
-    /// Earliest open-batch launch deadline `(at, executor)`, if any.
-    /// Executor order breaks ties, deterministically.
-    fn next_due_launch(&self) -> Option<(SimTime, usize)> {
-        let window = self.batching.as_ref()?.window;
-        let mut due: Option<(SimTime, usize)> = None;
-        for (k, slot) in self.open_batches.iter().enumerate() {
-            if let Some(open) = slot {
-                let at = open.opened_at + window;
-                if due.is_none_or(|(t, _)| at < t) {
-                    due = Some((at, k));
-                }
-            }
-        }
-        due
-    }
-
-    /// Launches `executor`'s open batch at `at`: one batched pass covering
-    /// every member, with the service time of the longest member scaled by
-    /// the batch curve. Members' completion/failure events all land at the
-    /// batched finish instant.
-    fn launch_batch(&mut self, executor: usize, at: SimTime) {
-        let Some(open) = self.open_batches[executor].take() else { return };
-        let cfg = self.batching.expect("batching configured");
-        let size = open.members.len();
-        let longest = open.members.iter().map(|&(_, d, _)| d).max().expect("non-empty batch");
-        let duration = cfg.curve.scale(longest, size);
-        let completes_at = at + duration;
-        let batch = self.batch_seq;
-        self.batch_seq += 1;
-        self.tasks_batched += size as u64;
-        self.batch_sizes.push(size as u32);
-        let mut members = Vec::with_capacity(size);
-        for &(query, _, doomed) in &open.members {
-            self.trace.emit(TraceEvent::TaskStart { t: at, query, executor: executor as u16 });
-            let ev = if doomed {
-                BackendEvent::TaskFailed { executor, query }
-            } else {
-                BackendEvent::TaskDone { executor, query }
-            };
-            self.events.push(completes_at, ev);
-            members.push(query);
-        }
-        self.trace.emit(TraceEvent::BatchFormed {
-            t: at,
-            executor: executor as u16,
-            batch,
-            size: size as u32,
-        });
-        self.running_batches[executor] = Some(RunningBatch { members, completes_at, duration });
-    }
-
-    /// Whether `query` is an in-flight member of `executor`'s launched batch.
-    fn is_batch_member(&self, executor: usize, query: u64) -> bool {
-        self.running_batches[executor].as_ref().is_some_and(|r| r.members.contains(&query))
-    }
-
-    /// Retires one member of `executor`'s launched batch; the last member
-    /// out releases the executor and charges the batched pass's busy time.
-    fn retire_batch_member(&mut self, executor: usize, query: u64, now: SimTime, failed: bool) {
-        let run = self.running_batches[executor].as_mut().expect("member checked");
-        let i = run.members.iter().position(|&q| q == query).expect("member checked");
-        run.members.swap_remove(i);
-        let done = run.members.is_empty();
-        let ev = if failed {
-            TraceEvent::TaskFailed { t: now, query, executor: executor as u16 }
-        } else {
-            self.batch_tasks[executor] += 1;
-            TraceEvent::TaskDone { t: now, query, executor: executor as u16 }
-        };
-        self.trace.emit(ev);
-        if done {
-            let duration = run.duration;
-            self.batch_busy[executor] = self.batch_busy[executor] + duration;
-            self.running_batches[executor] = None;
-        }
-    }
-
-    /// First recovery instant after `now` for a down executor.
-    fn recovery_time(&self, executor: usize, now: SimTime) -> SimTime {
-        self.transitions
-            .iter()
-            .find(|t| t.executor == executor && t.up && t.at > now)
-            .map_or(now, |t| t.at)
+        last
     }
 }
 
-impl ExecutionBackend for SimBackend {
-    fn executors(&self) -> usize {
-        self.latencies.len()
+impl BankHost for SimBackend {
+    fn bank(&self) -> &ExecutorBank {
+        &self.bank
     }
 
-    fn is_idle(&self, executor: usize) -> bool {
-        // An *open* batch leaves the executor idle — it is still accepting
-        // members; only a launched batch occupies it.
-        !self.down[executor]
-            && self.servers.get(executor).is_idle()
-            && self.running_batches[executor].is_none()
+    fn bank_mut(&mut self) -> &mut ExecutorBank {
+        &mut self.bank
     }
 
-    fn is_up(&self, executor: usize) -> bool {
-        !self.down[executor]
-    }
-
-    fn idle_executors(&self) -> Vec<usize> {
-        (0..self.executors()).filter(|&k| self.is_idle(k)).collect()
-    }
-
-    fn any_idle(&self) -> bool {
-        (0..self.executors()).any(|k| self.is_idle(k))
-    }
-
-    fn available_at(&self, executor: usize, now: SimTime) -> SimTime {
-        let mut base = self.servers.get(executor).available_at(now);
-        if let Some(run) = &self.running_batches[executor] {
-            base = base.max(run.completes_at);
-        }
-        if let (Some(cfg), Some(open)) = (&self.batching, &self.open_batches[executor]) {
-            // Quote the *marginal* cost of joining the open batch: it
-            // launches at `opened_at + window` at the latest and would then
-            // run one pass of `s + 1` members, so the instant that makes
-            // `available_at + planned` equal the predicted joined finish is
-            // `launch + (gamma(s + 1) - 1) · planned`. The DP thereby prices
-            // joining an open batch against opening a fresh one elsewhere.
-            let planned = self.latencies[executor].planned();
-            let gamma = cfg.curve.gamma(open.members.len() + 1);
-            let marginal = SimDuration::from_micros(
-                (planned.as_micros() as f64 * (gamma - 1.0)).round() as u64,
-            );
-            base = base.max(open.opened_at + cfg.window + marginal);
-        }
-        if self.down[executor] {
-            base.max(self.recovery_time(executor, now))
-        } else {
-            base
-        }
-    }
-
-    fn start_task(&mut self, executor: usize, query: u64, now: SimTime) {
-        assert!(!self.down[executor], "start_task on a down executor");
-        debug_assert!(
-            self.open_batches[executor].is_none() && self.running_batches[executor].is_none(),
-            "start_task alongside a batch on executor {executor}"
-        );
-        let sampled = self.latencies[executor].sample(&mut self.rng);
-        let fate = self.fate_for(executor, now, sampled);
-        let run =
-            self.servers.get_mut(executor).start_immediately(TaskId(query), now, fate.duration);
-        let ev = if fate.failed {
-            BackendEvent::TaskFailed { executor, query }
-        } else {
-            BackendEvent::TaskDone { executor, query }
-        };
-        self.events.push(run.completes_at, ev);
-        self.trace.emit(TraceEvent::TaskStart { t: now, query, executor: executor as u16 });
-    }
-
-    fn enqueue_task(&mut self, executor: usize, query: u64, now: SimTime) {
-        debug_assert!(!self.down[executor], "enqueue onto a down executor");
-        let sampled = self.latencies[executor].sample(&mut self.rng);
-        let fate = self.fate_for(executor, now, sampled);
-        let server = self.servers.get_mut(executor);
-        let was_idle = server.is_idle();
-        server.enqueue(TaskId(query), fate.duration);
-        self.pending_fate[executor].push_back(fate.failed);
-        if was_idle {
-            self.start_next_from_backlog(executor, now);
-        } else {
-            self.trace.emit(TraceEvent::TaskEnqueue { t: now, query, executor: executor as u16 });
-        }
-    }
-
-    fn cancel_task(&mut self, executor: usize, query: u64, now: SimTime) -> bool {
-        // A member of a not-yet-launched open batch never ran: remove it
-        // outright, no busy time, no stale events.
-        if let Some(open) = self.open_batches[executor].as_mut() {
-            if let Some(i) = open.members.iter().position(|&(q, _, _)| q == query) {
-                open.members.remove(i);
-                if open.members.is_empty() {
-                    self.open_batches[executor] = None;
-                }
-                return true;
+    fn time_launches(&mut self) {
+        while let Some(launch) = self.bank.next_launch() {
+            let report = Queued::Report { executor: launch.executor, run: launch.run };
+            for _ in 0..launch.size {
+                self.events.push(launch.completes_at, report);
             }
         }
-        // A launched batch shares one pass; a single member cannot be shed
-        // mid-flight. Refuse — the caller keeps it and its completion lands
-        // normally.
-        if self.is_batch_member(executor, query) {
-            return false;
-        }
-        let Some((task, completes_at)) =
-            self.servers.get(executor).running().map(|r| (r.task.0, r.completes_at))
-        else {
-            return false;
-        };
-        if task != query {
-            return false;
-        }
-        // The task's completion (or scheduled failure) event is still
-        // queued; swallow it when it pops — same mechanism as a crash kill.
-        self.suppressed.push((executor, task, completes_at));
-        // `kill` charges the partial busy time; unlike `ExecutorDown`, the
-        // casualty is discarded (a quit is not a failure, so no `TaskFailed`
-        // surfaces) and the backlog is left intact.
-        let _ = self.servers.get_mut(executor).kill(now);
-        self.start_next_from_backlog(executor, now);
-        true
     }
 
-    fn submit_batch(&mut self, executor: usize, query: u64, now: SimTime) {
-        let Some(cfg) = self.batching else {
-            self.start_task(executor, query, now);
-            return;
-        };
-        assert!(!self.down[executor], "submit_batch on a down executor");
-        debug_assert!(
-            self.running_batches[executor].is_none() && self.servers.get(executor).is_idle(),
-            "open batches only exist while executor {executor} is idle"
-        );
-        // Same draw discipline as `start_task`: duration then fate, in
-        // submission order, so a fixed seed yields the same per-task numbers
-        // whether or not tasks end up co-batched.
-        let sampled = self.latencies[executor].sample(&mut self.rng);
-        let fate = self.fate_for(executor, now, sampled);
-        // `TaskEnqueue` marks the batch-queue wait; `TaskStart` lands at the
-        // launch instant, so exporters see queue-wait vs service split.
-        self.trace.emit(TraceEvent::TaskEnqueue { t: now, query, executor: executor as u16 });
-        let batch = self.open_batches[executor]
-            .get_or_insert_with(|| OpenBatch { members: Vec::new(), opened_at: now });
-        batch.members.push((query, fate.duration, fate.failed));
-        if batch.members.len() >= cfg.batch_max {
-            self.launch_batch(executor, now);
-        }
-    }
-
-    fn open_batch_len(&self, executor: usize) -> usize {
-        self.open_batches[executor].as_ref().map_or(0, |b| b.members.len())
-    }
-
-    fn request_wake(&mut self, at: SimTime) {
-        self.events.push(at, BackendEvent::Wake);
-    }
-
-    fn usage(&self) -> Vec<ExecutorUsage> {
-        (0..self.latencies.len())
-            .map(|k| ExecutorUsage {
-                busy_secs: (self.servers.get(k).busy_time() + self.batch_busy[k]).as_secs_f64(),
-                tasks: self.servers.get(k).completed_tasks() + self.batch_tasks[k],
-            })
-            .collect()
+    fn wake_at(&mut self, at: SimTime) {
+        self.events.push(at, Queued::Event(BackendEvent::Wake));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use schemble_sim::SimDuration;
+    use schemble_sim::{BatchConfig, FaultPlan, LatencyModel, SimDuration};
 
-    fn lat(ms: f64) -> LatencyModel {
-        LatencyModel::constant_millis(ms)
+    /// Constant-latency executors, `ms` milliseconds each.
+    fn bank(ms: &[f64]) -> ExecutorBank {
+        ExecutorBank::new(ms.iter().map(|&m| LatencyModel::constant_millis(m)).collect(), 1, "test")
     }
 
     #[test]
-    fn start_task_surfaces_completion() {
-        let mut b = SimBackend::new(vec![lat(10.0), lat(20.0)], 1, "test");
+    fn submitted_task_surfaces_completion() {
+        let mut b = SimBackend::new(bank(&[10.0, 20.0]));
         assert_eq!(b.executors(), 2);
         assert!(b.any_idle());
-        b.start_task(0, 7, SimTime::ZERO);
+        b.submit_batch(0, 7, SimTime::ZERO);
         assert!(!b.is_idle(0));
         assert!(b.is_idle(1));
         let (t, ev) = b.pop_event().expect("completion queued");
@@ -773,8 +404,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "busy or down executor")]
+    fn submitting_to_a_busy_executor_panics() {
+        let mut b = SimBackend::new(bank(&[10.0]));
+        b.submit_batch(0, 1, SimTime::ZERO);
+        b.submit_batch(0, 2, SimTime::ZERO);
+    }
+
+    #[test]
     fn enqueue_chains_backlog_tasks() {
-        let mut b = SimBackend::new(vec![lat(10.0)], 1, "test");
+        let mut b = SimBackend::new(bank(&[10.0]));
         b.enqueue_task(0, 1, SimTime::ZERO);
         b.enqueue_task(0, 2, SimTime::ZERO);
         assert_eq!(b.available_at(0, SimTime::ZERO), SimTime::ZERO + SimDuration::from_millis(20));
@@ -791,7 +430,7 @@ mod tests {
     #[test]
     fn crash_kills_running_task_and_drops_backlog() {
         let plan = FaultPlan::parse("crash 0 0.015 0.040").unwrap();
-        let mut b = SimBackend::new(vec![lat(10.0)], 1, "test").with_faults(plan, 1);
+        let mut b = SimBackend::new(bank(&[10.0]).with_faults(plan, 1));
         b.enqueue_task(0, 1, SimTime::ZERO); // runs 0..10ms... restarts as q2 at 10ms
         b.enqueue_task(0, 2, SimTime::ZERO); // running at crash time 15ms → killed
         b.enqueue_task(0, 3, SimTime::ZERO); // backlogged at crash → dropped
@@ -822,8 +461,8 @@ mod tests {
         // 3x straggler pushes the 10ms task past the q=1.0 timeout (= 10ms
         // nominal with zero jitter), so it is killed at the cap.
         let plan = FaultPlan::parse("straggle 0 0 1 3.0\ntimeout-q 1.0").unwrap();
-        let mut b = SimBackend::new(vec![lat(10.0)], 1, "test").with_faults(plan, 1);
-        b.start_task(0, 9, SimTime::ZERO);
+        let mut b = SimBackend::new(bank(&[10.0]).with_faults(plan, 1));
+        b.submit_batch(0, 9, SimTime::ZERO);
         let (t, ev) = b.pop_event().unwrap();
         assert_eq!(ev, BackendEvent::TaskFailed { executor: 0, query: 9 });
         assert_eq!(t, SimTime::from_micros(10_000), "killed at the timeout, not at 30ms");
@@ -833,11 +472,10 @@ mod tests {
 
     #[test]
     fn noop_fault_plan_changes_nothing() {
-        let mut plain = SimBackend::new(vec![lat(10.0)], 7, "test");
-        let mut armed =
-            SimBackend::new(vec![lat(10.0)], 7, "test").with_faults(FaultPlan::default(), 7);
+        let mut plain = SimBackend::new(bank(&[10.0]));
+        let mut armed = SimBackend::new(bank(&[10.0]).with_faults(FaultPlan::default(), 7));
         for b in [&mut plain, &mut armed] {
-            b.start_task(0, 1, SimTime::ZERO);
+            b.submit_batch(0, 1, SimTime::ZERO);
         }
         assert_eq!(plain.pop_event(), armed.pop_event());
     }
@@ -845,7 +483,7 @@ mod tests {
     #[test]
     fn batch_launches_when_window_expires() {
         let cfg = BatchConfig::new(4, SimDuration::from_millis(2));
-        let mut b = SimBackend::new(vec![lat(10.0)], 1, "test").with_batching(cfg);
+        let mut b = SimBackend::new(bank(&[10.0]).with_batching(cfg));
         b.submit_batch(0, 1, SimTime::ZERO);
         b.submit_batch(0, 2, SimTime::ZERO);
         assert_eq!(b.open_batch_len(0), 2);
@@ -859,7 +497,7 @@ mod tests {
         assert_eq!(e2, BackendEvent::TaskDone { executor: 0, query: 2 });
         assert_eq!(t2, t1, "batch members finish together");
         assert!(b.pop_event().is_none());
-        assert_eq!(b.tasks_batched(), 2);
+        assert_eq!(b.bank().tasks_batched(), 2);
         assert_eq!(b.usage()[0].tasks, 2);
         // One shared pass: 11.5ms of busy time, not 20ms.
         assert!((b.usage()[0].busy_secs - 0.0115).abs() < 1e-9);
@@ -868,7 +506,7 @@ mod tests {
     #[test]
     fn full_batch_launches_immediately() {
         let cfg = BatchConfig::new(2, SimDuration::from_millis(2));
-        let mut b = SimBackend::new(vec![lat(10.0)], 1, "test").with_batching(cfg);
+        let mut b = SimBackend::new(bank(&[10.0]).with_batching(cfg));
         b.submit_batch(0, 1, SimTime::ZERO);
         assert_eq!(b.open_batch_len(0), 1);
         b.submit_batch(0, 2, SimTime::ZERO);
@@ -881,7 +519,7 @@ mod tests {
     #[test]
     fn cancel_removes_open_member_but_refuses_launched_member() {
         let cfg = BatchConfig::new(4, SimDuration::from_millis(2));
-        let mut b = SimBackend::new(vec![lat(10.0)], 1, "test").with_batching(cfg);
+        let mut b = SimBackend::new(bank(&[10.0]).with_batching(cfg));
         b.submit_batch(0, 1, SimTime::ZERO);
         b.submit_batch(0, 2, SimTime::ZERO);
         assert!(b.cancel_task(0, 1, SimTime::ZERO), "open members are removable");
@@ -892,8 +530,8 @@ mod tests {
         assert_eq!(t, SimTime::from_micros(12_000));
         assert!(b.pop_event().is_none(), "cancelled member left no stale events");
 
-        let mut b = SimBackend::new(vec![lat(10.0)], 1, "test")
-            .with_batching(BatchConfig::new(2, SimDuration::from_millis(2)));
+        let cfg = BatchConfig::new(2, SimDuration::from_millis(2));
+        let mut b = SimBackend::new(bank(&[10.0]).with_batching(cfg));
         b.submit_batch(0, 1, SimTime::ZERO);
         b.submit_batch(0, 2, SimTime::ZERO); // fills → launches
         assert!(!b.cancel_task(0, 1, SimTime::ZERO), "launched members cannot be shed");
@@ -903,8 +541,7 @@ mod tests {
     fn crash_kills_open_and_running_batches() {
         let plan = FaultPlan::parse("crash 0 0.015 0.040").unwrap();
         let cfg = BatchConfig::new(4, SimDuration::from_millis(2));
-        let mut b =
-            SimBackend::new(vec![lat(20.0)], 1, "test").with_faults(plan, 1).with_batching(cfg);
+        let mut b = SimBackend::new(bank(&[20.0]).with_faults(plan, 1).with_batching(cfg));
         b.submit_batch(0, 1, SimTime::ZERO);
         b.submit_batch(0, 2, SimTime::ZERO);
         // The pass launches at 2ms and would run 23ms (gamma(2)·20ms); the
@@ -924,7 +561,7 @@ mod tests {
     #[test]
     fn open_batch_quotes_marginal_join_cost() {
         let cfg = BatchConfig::new(4, SimDuration::from_millis(2));
-        let mut b = SimBackend::new(vec![lat(10.0)], 1, "test").with_batching(cfg);
+        let mut b = SimBackend::new(bank(&[10.0]).with_batching(cfg));
         assert_eq!(b.available_at(0, SimTime::ZERO), SimTime::ZERO);
         b.submit_batch(0, 1, SimTime::ZERO);
         // Joining makes a batch of two: launch at 2ms, plus (gamma(2)−1) of
@@ -934,19 +571,19 @@ mod tests {
     }
 
     #[test]
-    fn inactive_batching_is_plain_start_task() {
+    fn inactive_batching_is_unbatched() {
         let cfg = BatchConfig::new(1, SimDuration::from_millis(2));
-        let mut plain = SimBackend::new(vec![lat(10.0)], 7, "test");
-        let mut off = SimBackend::new(vec![lat(10.0)], 7, "test").with_batching(cfg);
-        plain.start_task(0, 1, SimTime::ZERO);
+        let mut plain = SimBackend::new(bank(&[10.0]));
+        let mut off = SimBackend::new(bank(&[10.0]).with_batching(cfg));
+        plain.submit_batch(0, 1, SimTime::ZERO);
         off.submit_batch(0, 1, SimTime::ZERO);
         assert_eq!(plain.pop_event(), off.pop_event());
-        assert_eq!(off.tasks_batched(), 0);
+        assert_eq!(off.bank().tasks_batched(), 0);
     }
 
     #[test]
     fn wakes_and_arrivals_interleave_in_time_order() {
-        let mut b = SimBackend::new(vec![lat(1.0)], 1, "test");
+        let mut b = SimBackend::new(bank(&[1.0]));
         b.push_arrival(SimTime::ZERO + SimDuration::from_millis(5), 0);
         b.request_wake(SimTime::ZERO + SimDuration::from_millis(2));
         assert_eq!(b.pop_event().unwrap().1, BackendEvent::Wake);

@@ -478,13 +478,9 @@ impl<'a> SchembleEngine<'a> {
                 query: q.id,
                 verdict: AdmissionVerdict::FastPath { executor: k as u16 },
             });
-            if self.batching().is_some() {
-                // A batching backend may hold an open batch on an idle
-                // executor; joining it is the fast path's batched analogue.
-                backend.submit_batch(k, q.id, now);
-            } else {
-                backend.start_task(k, q.id, now);
-            }
+            // On a batching backend this joins the idle executor's open
+            // batch, the fast path's batched analogue.
+            backend.submit_batch(k, q.id, now);
             self.open.insert(
                 q.id,
                 QState {
@@ -771,24 +767,17 @@ impl<'a> SchembleEngine<'a> {
                 {
                     continue;
                 }
-                if batching.is_some() {
-                    // Joining a non-empty open batch delays launch (window)
-                    // and dilates service (batch curve); only coalesce when
-                    // the quoted joined finish still meets the deadline.
-                    // ForceAll queries run regardless, mirroring admission.
-                    if self.config.admission == AdmissionMode::Reject
-                        && backend.open_batch_len(k) > 0
-                    {
-                        let finish =
-                            backend.available_at(k, now) + self.ensemble.latency(k).planned();
-                        if finish > state.deadline {
-                            continue;
-                        }
+                // Joining a non-empty open batch delays launch (window) and
+                // dilates service (batch curve); only coalesce when the
+                // quoted joined finish still meets the deadline. ForceAll
+                // queries run regardless, mirroring admission.
+                if self.config.admission == AdmissionMode::Reject && backend.open_batch_len(k) > 0 {
+                    let finish = backend.available_at(k, now) + self.ensemble.latency(k).planned();
+                    if finish > state.deadline {
+                        continue;
                     }
-                    backend.submit_batch(k, *id, now);
-                } else {
-                    backend.start_task(k, *id, now);
                 }
+                backend.submit_batch(k, *id, now);
                 state.started = state.started.with(k);
                 state.frozen = true;
                 let attempt = state.fault.attempts(k);

@@ -31,6 +31,7 @@
 
 pub mod artifacts;
 pub mod backend;
+pub mod bank;
 pub mod calibration;
 pub mod discrepancy;
 pub mod engine;
@@ -43,5 +44,6 @@ pub mod profiling;
 pub mod scheduler;
 
 pub use artifacts::SchembleArtifacts;
+pub use bank::ExecutorBank;
 pub use discrepancy::{DifficultyMetric, DiscrepancyScorer};
 pub use profiling::AccuracyProfile;

@@ -8,7 +8,8 @@
 
 use super::{AdmissionMode, ResultAssembler};
 use crate::backend::{ExecutionBackend, SimBackend};
-use crate::engine::{ImmediateEngine, PipelineEngine};
+use crate::bank::ExecutorBank;
+use crate::engine::ImmediateEngine;
 use schemble_data::{Query, Workload};
 use schemble_metrics::RunSummary;
 use schemble_models::{Ensemble, ModelSet};
@@ -129,19 +130,14 @@ pub fn run_immediate_traced(
     trace: Arc<TraceSink>,
 ) -> RunSummary {
     let latencies = deployment.hosts.iter().map(|&h| ensemble.latency(h)).collect();
-    let mut backend =
-        SimBackend::new(latencies, seed, "immediate-latency").with_trace(trace.clone());
-    for (i, q) in workload.queries.iter().enumerate() {
-        backend.push_arrival(q.arrival, i);
-    }
+    let bank =
+        ExecutorBank::for_run(latencies, seed, "immediate-latency", trace.clone(), None, None);
+    let mut backend = SimBackend::for_run(bank, workload);
     let mut engine =
         ImmediateEngine::new(ensemble, deployment, policy, assembler, admission, workload)
             .with_trace(trace);
-    while let Some((now, event)) = backend.pop_event() {
-        engine.handle(event, now, &mut backend);
-    }
-    let usage = backend.usage();
-    engine.into_summary(usage)
+    backend.drive(&mut engine, None);
+    engine.into_summary(backend.usage())
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 
 use super::{AdmissionMode, ResultAssembler};
 use crate::backend::{ExecutionBackend, SimBackend};
+use crate::bank::ExecutorBank;
 use crate::engine::{AnytimePolicy, FailurePolicy, PipelineEngine, SchembleEngine};
 use crate::predictor::OnlineScorer;
 use crate::profiling::AccuracyProfile;
@@ -143,26 +144,19 @@ pub fn run_schemble_faulted(
     faults: Option<&FaultPlan>,
 ) -> RunSummary {
     let latencies = (0..ensemble.m()).map(|k| ensemble.latency(k)).collect();
-    let mut backend =
-        SimBackend::new(latencies, seed, "schemble-latency").with_trace(trace.clone());
-    if let Some(plan) = faults {
-        backend = backend.with_faults(plan.clone(), seed);
-    }
-    if let Some(batching) = config.batching {
-        backend = backend.with_batching(batching);
-    }
-    for (i, q) in workload.queries.iter().enumerate() {
-        backend.push_arrival(q.arrival, i);
-    }
+    let bank = ExecutorBank::for_run(
+        latencies,
+        seed,
+        "schemble-latency",
+        trace.clone(),
+        faults,
+        config.batching,
+    );
+    let mut backend = SimBackend::for_run(bank, workload);
     let mut engine = SchembleEngine::new(ensemble, config, workload).with_trace(trace);
-    let mut end = schemble_sim::SimTime::ZERO;
-    while let Some((now, event)) = backend.pop_event() {
-        engine.handle(event, now, &mut backend);
-        end = now;
-    }
+    let end = backend.drive(&mut engine, None).unwrap_or(schemble_sim::SimTime::ZERO);
     engine.drain(end);
-    let usage = backend.usage();
-    engine.into_summary(usage)
+    engine.into_summary(backend.usage())
 }
 
 #[cfg(test)]

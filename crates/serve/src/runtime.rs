@@ -12,16 +12,17 @@
 //! the DES pipelines' admission decisions bit-for-bit (the
 //! `serve_runtime` integration test checks this).
 
-use crate::backend::ThreadedBackend;
+use crate::backend::{publish, ThreadedBackend};
 use crate::clock::{precise_sleep, DilatedClock};
 use crate::steal::{execute_steal_round, LoadSnapshot, Rendezvous, StealHandle};
 use crate::worker::{RuntimeMsg, WorkerPool};
-use schemble_core::backend::{BackendEvent, ExecutionBackend, SimBackend};
+use schemble_core::backend::{BackendEvent, BankHost, ExecutionBackend, SimBackend};
 use schemble_core::engine::{
     EngineStats, FailurePolicy, ImmediateEngine, PipelineEngine, SchembleEngine,
 };
 use schemble_core::pipeline::immediate::{Deployment, SelectionPolicy};
 use schemble_core::pipeline::{AdmissionMode, ResultAssembler, SchembleConfig};
+use schemble_core::ExecutorBank;
 use schemble_data::Workload;
 use schemble_metrics::{RunSummary, RuntimeMetrics, RuntimeSnapshot};
 use schemble_models::Ensemble;
@@ -116,6 +117,14 @@ impl ServeConfig {
     fn sink(&self) -> Arc<TraceSink> {
         self.trace.clone().unwrap_or_else(TraceSink::disabled)
     }
+
+    /// The executors of a run in either clock mode: latencies drawn from
+    /// the `(seed, stream)` RNG stream, with this config's trace, faults
+    /// and batching.
+    fn bank(&self, latencies: Vec<LatencyModel>, seed: u64, stream: &str) -> ExecutorBank {
+        let faults = self.faults.as_ref();
+        ExecutorBank::for_run(latencies, seed, stream, self.sink(), faults, self.batching)
+    }
 }
 
 /// Low-level result of one runtime execution.
@@ -187,22 +196,9 @@ pub fn run_wall(
     let clock = DilatedClock::start(dilation);
     let (tx, rx) = sync_channel::<RuntimeMsg>(config.channel_capacity);
     let pool = WorkerPool::spawn(latencies.len(), tx.clone());
-    let mut backend = ThreadedBackend::new(
-        latencies,
-        seed,
-        stream,
-        pool,
-        clock,
-        config.queue_capacity,
-        Arc::clone(metrics),
-    )
-    .with_trace(config.sink());
-    if let Some(plan) = &config.faults {
-        backend = backend.with_faults(plan.clone(), seed);
-    }
-    if let Some(batching) = config.batching {
-        backend = backend.with_batching(batching);
-    }
+    let bank = config.bank(latencies, seed, stream);
+    let mut backend =
+        ThreadedBackend::new(bank, pool, clock, config.queue_capacity, Arc::clone(metrics));
 
     // Trace-replay load generator: one thread sleeping to each arrival.
     let arrivals: Vec<SimTime> = workload.queries.iter().map(|q| q.arrival).collect();
@@ -252,7 +248,7 @@ pub fn run_wall(
 
     // Applies one runtime message to the engine. Shared between the main
     // recv loop and the pre-rendezvous drain so both paths treat batch
-    // fan-out and zombie reports identically.
+    // fan-out and stale reports identically.
     fn deliver(
         msg: RuntimeMsg,
         now: SimTime,
@@ -266,28 +262,13 @@ pub fn run_wall(
                 engine.handle(BackendEvent::Arrival(i), now, backend);
                 *stalled = 0;
             }
-            RuntimeMsg::TaskDone { executor, query } => {
-                // A report standing in for a whole batched pass fans out
-                // into one engine event per member, fates applied.
-                if let Some(members) = backend.batch_members(executor, query, now) {
-                    for (q, failed) in members {
-                        let event = if failed {
-                            BackendEvent::TaskFailed { executor, query: q }
-                        } else {
-                            BackendEvent::TaskDone { executor, query: q }
-                        };
-                        engine.handle(event, now, backend);
-                    }
-                } else if backend.complete(executor, query, now) {
-                    // A false return is a zombie report (task killed by a
-                    // crash): the engine already saw its TaskFailed.
-                    engine.handle(BackendEvent::TaskDone { executor, query }, now, backend);
-                }
-                *stalled = 0;
-            }
-            RuntimeMsg::TaskFailed { executor, query } => {
-                if backend.fail(executor, query, now) {
-                    engine.handle(BackendEvent::TaskFailed { executor, query }, now, backend);
+            RuntimeMsg::Done { executor, run } => {
+                // One report per run: its members retire one by one, each
+                // reaching the engine before the next retires. A stale
+                // report (run killed by a crash) yields nothing: the engine
+                // already saw its TaskFailed.
+                while let Some(event) = backend.report(executor, run, now) {
+                    engine.handle(event, now, backend);
                 }
                 *stalled = 0;
             }
@@ -462,24 +443,13 @@ pub fn run_virtual(
     steal: Option<&mut StealHandle>,
 ) -> RunStats {
     let wall_start = Instant::now();
-    let mut backend = SimBackend::new(latencies, seed, stream).with_trace(config.sink());
-    if let Some(plan) = &config.faults {
-        backend = backend.with_faults(plan.clone(), seed);
-    }
-    if let Some(batching) = config.batching {
-        backend = backend.with_batching(batching);
-    }
-    for (i, q) in workload.queries.iter().enumerate() {
-        backend.push_arrival(q.arrival, i);
-    }
+    let mut backend = SimBackend::for_run(config.bank(latencies, seed, stream), workload);
     let mut end = SimTime::ZERO;
     if let Some(handle) = steal {
         loop {
             let boundary = handle.next_boundary();
-            while backend.peek_time().is_some_and(|t| t < boundary) {
-                let (now, event) = backend.pop_event().expect("peeked event");
-                engine.handle(event, now, &mut backend);
-                end = now;
+            if let Some(last) = backend.drive(engine, Some(boundary)) {
+                end = last;
             }
             let done = backend.peek_time().is_none() && engine.open_count() == 0;
             let (depth, backlog_us) = engine.steal_backlog();
@@ -487,8 +457,8 @@ pub fn run_virtual(
                 Rendezvous::Stop => break,
                 Rendezvous::Round(plan) => {
                     // One `pop_event` call can silently consume several
-                    // fault-suppressed events, carrying the DES clock past
-                    // the boundary before returning a deliverable one — so
+                    // stale reports, carrying the DES clock past the
+                    // boundary before returning a deliverable event — so
                     // the round executes at the engine's real progressed
                     // time, never behind it (a wake scheduled before the
                     // queue's clock is a DES logic error).
@@ -501,30 +471,19 @@ pub fn run_virtual(
         }
         handle.detach();
     }
-    while let Some((now, event)) = backend.pop_event() {
-        engine.handle(event, now, &mut backend);
-        end = now;
+    if let Some(last) = backend.drive(engine, None) {
+        end = last;
     }
     engine.drain(end);
     sync_metrics(engine, metrics);
-    let usage = backend.usage();
-    // The DES backend bypasses the live gauges; backfill them from its
-    // final usage so snapshots and exporters see real task/busy totals.
-    let mut tasks_total = 0;
-    for (k, (gauges, u)) in metrics.executors.iter().zip(&usage).enumerate() {
-        gauges.busy_micros.store((u.busy_secs * 1e6) as u64, Relaxed);
-        gauges.tasks.store(u.tasks, Relaxed);
-        gauges.up.store(backend.is_up(k) as u64, Relaxed);
-        tasks_total += u.tasks;
+    // The DES backend keeps no live gauges; publish the bank's final
+    // counters so snapshots and exporters see real task/busy totals.
+    publish(backend.bank(), metrics, &mut 0);
+    RunStats {
+        usage: backend.usage(),
+        wall_secs: wall_start.elapsed().as_secs_f64(),
+        sim_secs: end.as_secs_f64(),
     }
-    // Failed tasks started but never completed.
-    metrics.counters.tasks_started.store(tasks_total + engine.stats().tasks_failed, Relaxed);
-    metrics.counters.tasks_completed.store(tasks_total, Relaxed);
-    metrics.counters.tasks_batched.store(backend.tasks_batched(), Relaxed);
-    for &size in backend.batch_sizes() {
-        metrics.batch_size.record(size as f64);
-    }
-    RunStats { usage, wall_secs: wall_start.elapsed().as_secs_f64(), sim_secs: end.as_secs_f64() }
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -2,18 +2,16 @@
 //!
 //! Each executor (base-model instance) gets one OS thread that realises
 //! synthetic model latencies as actual (dilated) sleeps. Work reaches a
-//! worker over a **bounded** channel sized for the single running task —
-//! backlog queues live in the backend, mirroring the simulator's
-//! [`Server`](schemble_sim::Server) split between the running slot and the
-//! FIFO queue. Completions flow back to the runtime loop over a shared
-//! bounded channel, so a stalled scheduler exerts backpressure instead of
-//! accumulating unbounded buffers.
+//! worker over a **bounded** channel sized for the single running job —
+//! a job is one run of the executor bank (an unbatched task or a whole
+//! batched pass); backlogs live in the bank. Completions flow back to the
+//! runtime loop over a shared bounded channel, so a stalled scheduler
+//! exerts backpressure instead of accumulating unbounded buffers.
 //!
-//! Faults: a task submitted with `failed = true` (its fate was drawn from
-//! the run's [`FaultPlan`](schemble_sim::FaultPlan)) still occupies the
-//! worker for its sampled time but reports [`RuntimeMsg::TaskFailed`]
-//! instead of a completion. A worker thread that *dies* (panics) is visible
-//! through [`WorkerPool::is_finished`]; the backend folds that into the
+//! A worker only keeps time: it reports [`RuntimeMsg::Done`] for the run
+//! once the sleep ends, and the bank decides each member's fate. A worker
+//! thread that *dies* (panics) is visible through
+//! [`WorkerPool::is_finished`]; the backend folds that into the
 //! executor-down path.
 
 use crate::clock::precise_sleep;
@@ -23,15 +21,12 @@ use std::time::Duration;
 
 /// Messages to a worker thread.
 pub enum WorkerMsg {
-    /// Realise one task: sleep `wall`, then report completion or failure.
+    /// Realise one run: sleep `wall`, then report it done.
     Run {
-        /// Query the task belongs to.
-        query: u64,
+        /// The run's id on this executor.
+        run: u64,
         /// Dilated wall-clock execution time.
         wall: Duration,
-        /// The task's predetermined fate: report `TaskFailed` instead of
-        /// `TaskDone` after the sleep.
-        failed: bool,
     },
     /// Panic the worker thread. Fault-injection instrumentation: lets tests
     /// prove a dead worker is detected and degraded around, not hung on.
@@ -45,19 +40,12 @@ pub enum WorkerMsg {
 pub enum RuntimeMsg {
     /// The load generator delivered query `workload.queries[i]`.
     Arrive(usize),
-    /// `executor` finished its task for `query`.
-    TaskDone {
+    /// `executor` finished sleeping off run `run`.
+    Done {
         /// Executor index.
         executor: usize,
-        /// Query id.
-        query: u64,
-    },
-    /// `executor`'s task for `query` failed (transient fault or timeout).
-    TaskFailed {
-        /// Executor index.
-        executor: usize,
-        /// Query id.
-        query: u64,
+        /// The run's id on that executor.
+        run: u64,
     },
     /// The load generator replayed the whole trace.
     ArrivalsDone,
@@ -77,7 +65,7 @@ impl WorkerPool {
         for executor in 0..executors {
             // Small bound: normally holds just the running task plus a
             // shutdown message. Crash/recovery cycles can resubmit while the
-            // worker is still sleeping off a killed (zombie) task, so leave
+            // worker is still sleeping off a killed (stale) run, so leave
             // a little headroom before try_send would fail.
             let (tx, rx) = std::sync::mpsc::sync_channel::<WorkerMsg>(8);
             let done = done_tx.clone();
@@ -108,11 +96,11 @@ impl WorkerPool {
         self.handles[executor].is_finished()
     }
 
-    /// Hands `executor` a task. Panics if the worker's slot is full — the
+    /// Hands `executor` a run. Panics if the worker's slot is full — the
     /// backend must only submit to idle executors (non-preemptive contract).
-    pub fn submit(&self, executor: usize, query: u64, wall: Duration, failed: bool) {
+    pub fn submit(&self, executor: usize, run: u64, wall: Duration) {
         self.senders[executor]
-            .try_send(WorkerMsg::Run { query, wall, failed })
+            .try_send(WorkerMsg::Run { run, wall })
             .expect("submitted to a busy executor");
     }
 
@@ -138,15 +126,10 @@ impl WorkerPool {
 fn worker_loop(executor: usize, rx: Receiver<WorkerMsg>, done: SyncSender<RuntimeMsg>) {
     while let Ok(msg) = rx.recv() {
         match msg {
-            WorkerMsg::Run { query, wall, failed } => {
+            WorkerMsg::Run { run, wall } => {
                 precise_sleep(wall);
-                let report = if failed {
-                    RuntimeMsg::TaskFailed { executor, query }
-                } else {
-                    RuntimeMsg::TaskDone { executor, query }
-                };
                 // The runtime dropping its receiver means shutdown; exit.
-                if done.send(report).is_err() {
+                if done.send(RuntimeMsg::Done { executor, run }).is_err() {
                     return;
                 }
             }
@@ -165,29 +148,20 @@ mod tests {
         let (done_tx, done_rx) = std::sync::mpsc::sync_channel(16);
         let pool = WorkerPool::spawn(2, done_tx);
         assert_eq!(pool.len(), 2);
-        pool.submit(0, 7, Duration::from_millis(2), false);
-        pool.submit(1, 8, Duration::from_millis(1), false);
+        pool.submit(0, 7, Duration::from_millis(2));
+        pool.submit(1, 8, Duration::from_millis(1));
         let mut got: Vec<RuntimeMsg> = (0..2).map(|_| done_rx.recv().unwrap()).collect();
         got.sort_by_key(|m| match m {
-            RuntimeMsg::TaskDone { executor, .. } => *executor,
+            RuntimeMsg::Done { executor, .. } => *executor,
             _ => usize::MAX,
         });
         assert_eq!(
             got,
             vec![
-                RuntimeMsg::TaskDone { executor: 0, query: 7 },
-                RuntimeMsg::TaskDone { executor: 1, query: 8 },
+                RuntimeMsg::Done { executor: 0, run: 7 },
+                RuntimeMsg::Done { executor: 1, run: 8 }
             ]
         );
-        pool.shutdown();
-    }
-
-    #[test]
-    fn doomed_tasks_report_failure() {
-        let (done_tx, done_rx) = std::sync::mpsc::sync_channel(16);
-        let pool = WorkerPool::spawn(1, done_tx);
-        pool.submit(0, 3, Duration::from_millis(1), true);
-        assert_eq!(done_rx.recv().unwrap(), RuntimeMsg::TaskFailed { executor: 0, query: 3 });
         pool.shutdown();
     }
 

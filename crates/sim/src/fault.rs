@@ -100,6 +100,10 @@ impl FaultPlan {
     /// transient <probability>
     /// timeout-q <quantile>
     /// ```
+    ///
+    /// Times must be finite and within `[0, MAX_SECS]`, multipliers finite
+    /// and within `[1, MAX_MULTIPLIER]`; anything else is an `Err`, so no
+    /// plan can push simulated time past its integer range.
     pub fn parse(text: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
         for (i, raw) in text.lines().enumerate() {
@@ -141,8 +145,8 @@ impl FaultPlan {
                     if ep.until <= ep.from {
                         return Err(err("episode must satisfy from < until"));
                     }
-                    if ep.multiplier < 1.0 || ep.multiplier.is_nan() {
-                        return Err(err("multiplier must be >= 1.0"));
+                    if !(1.0..=MAX_MULTIPLIER).contains(&ep.multiplier) {
+                        return Err(err("multiplier must be in [1, 1000]"));
                     }
                     plan.stragglers.push(ep);
                 }
@@ -207,10 +211,18 @@ impl FaultPlan {
     }
 }
 
+/// Latest instant a fault plan may name, in seconds (about 31.7 years:
+/// "down for the whole run" fits, and simulated time stays far inside its
+/// integer range).
+pub const MAX_SECS: f64 = 1e9;
+
+/// Largest straggler multiplier a fault plan may name.
+pub const MAX_MULTIPLIER: f64 = 1e3;
+
 fn parse_secs(s: &str) -> Result<SimTime, &'static str> {
     let v: f64 = s.parse().map_err(|_| "bad time")?;
-    if v < 0.0 {
-        return Err("time must be >= 0");
+    if !(0.0..=MAX_SECS).contains(&v) {
+        return Err("time must be in [0, 1e9] seconds");
     }
     Ok(SimTime::from_secs_f64(v))
 }
@@ -339,6 +351,31 @@ mod tests {
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "`{bad}` must be rejected");
         }
+    }
+
+    #[test]
+    fn rejects_nan_time_instead_of_panicking() {
+        assert!(FaultPlan::parse("crash 0 nan 1").is_err());
+        assert!(FaultPlan::parse("straggle 0 0 nan 2").is_err());
+    }
+
+    #[test]
+    fn rejects_infinite_multiplier() {
+        assert!(FaultPlan::parse("straggle 0 0 1 inf").is_err());
+        assert!(FaultPlan::parse("straggle 0 0 1 1e9").is_err(), "beyond MAX_MULTIPLIER");
+        assert!(FaultPlan::parse("straggle 0 0 1 1000").is_ok(), "MAX_MULTIPLIER itself is fine");
+    }
+
+    #[test]
+    fn rejects_infinite_recovery() {
+        assert!(FaultPlan::parse("crash 0 1 inf").is_err());
+    }
+
+    #[test]
+    fn rejects_recovery_beyond_range() {
+        assert!(FaultPlan::parse("crash 0 1 1e300").is_err());
+        assert!(FaultPlan::parse("crash 0 1 1000000001").is_err());
+        assert!(FaultPlan::parse("crash 0 1 1e9").is_ok(), "MAX_SECS itself is fine");
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //!
 //! The paper evaluates Schemble on a GPU server executing base-model
 //! inference tasks non-preemptively. This crate substitutes that testbed with
-//! a discrete-event simulator exposing exactly the observables the scheduler
-//! consumes: a virtual clock, per-model servers with FIFO task queues and
-//! known (approximately constant) execution times, and a totally ordered
-//! event stream.
+//! the pieces of a discrete-event simulator: a virtual clock, a totally
+//! ordered event stream, latency models with known (approximately constant)
+//! execution times, batch curves and seeded fault plans. The executors
+//! themselves — non-preemptive servers with FIFO task queues — are
+//! `schemble-core`'s `ExecutorBank`, shared by the simulated and threaded
+//! backends.
 //!
 //! Design points:
 //!
@@ -15,10 +17,6 @@
 //! * **Total event order.** The event heap breaks time ties with a
 //!   monotonically increasing sequence number, so two events at the same
 //!   instant always pop in insertion order.
-//! * **Servers are passive.** A [`Server`] models one deployed base model:
-//!   it tracks the task currently executing and a FIFO backlog. Scheduling
-//!   *policy* lives upstream (in `schemble-core`); the server only answers
-//!   "when would a task enqueued now finish?".
 //! * **Deterministic randomness.** [`rng::derive_seed`] splits a root seed
 //!   into independent named streams so workload generation, latency jitter
 //!   and model noise never share state.
@@ -28,12 +26,10 @@ pub mod event;
 pub mod fault;
 pub mod latency;
 pub mod rng;
-pub mod server;
 pub mod time;
 
 pub use batch::{BatchConfig, BatchCurve};
 pub use event::EventQueue;
 pub use fault::{CrashWindow, FaultPlan, FaultState, FaultTransition, StragglerEpisode, TaskFate};
 pub use latency::LatencyModel;
-pub use server::{Server, ServerBank, TaskId};
 pub use time::{SimDuration, SimTime};

@@ -1,7 +1,42 @@
 //! Property-based tests of the simulation engine.
 
 use proptest::prelude::*;
-use schemble_sim::{EventQueue, Server, SimDuration, SimTime, TaskId};
+use schemble_sim::{EventQueue, FaultPlan, FaultState, SimDuration, SimTime};
+
+/// Directive words a fault-plan line may start with, malformed ones included.
+const KINDS: [&str; 6] = ["crash", "straggle", "transient", "timeout-q", "flarp", ""];
+
+/// Field spellings around the edges of the accepted ranges.
+const TOKENS: [&str; 18] = [
+    "0",
+    "1",
+    "2",
+    "-1",
+    "-0",
+    "0.5",
+    "3.0",
+    "1000",
+    "1000.5",
+    "1e9",
+    "1000000001",
+    "1e300",
+    "1e-300",
+    "nan",
+    "inf",
+    "-inf",
+    "x",
+    "#",
+];
+
+/// One field of a fault-plan line: an edge spelling, or any `f64` bit
+/// pattern printed plainly or in exponent form.
+fn token() -> impl Strategy<Value = String> {
+    (0..TOKENS.len() + 2, any::<u64>()).prop_map(|(i, bits)| match TOKENS.get(i) {
+        Some(t) => t.to_string(),
+        None if i == TOKENS.len() => f64::from_bits(bits).to_string(),
+        None => format!("{:e}", f64::from_bits(bits)),
+    })
+}
 
 proptest! {
     /// Events always pop in (time, insertion) order regardless of push order.
@@ -26,53 +61,25 @@ proptest! {
         }
     }
 
-    /// A server executing a random task sequence conserves work: busy time
-    /// equals the sum of executed durations, and completions never overlap.
+    /// `FaultPlan::parse` answers `Ok` or `Err` for any directive lines and
+    /// never panics, and an accepted plan is safe to run: its straggled
+    /// fates keep simulated time in range.
     #[test]
-    fn server_conserves_work(durations in proptest::collection::vec(1u64..50, 1..30)) {
-        let mut server = Server::new();
-        let mut now = SimTime::ZERO;
-        let mut total = SimDuration::ZERO;
-        for (i, &d) in durations.iter().enumerate() {
-            let dur = SimDuration::from_millis(d);
-            let run = server.start_immediately(TaskId(i as u64), now, dur);
-            prop_assert_eq!(run.completes_at, now + dur);
-            server.complete(TaskId(i as u64), run.completes_at);
-            now = run.completes_at;
-            total = total.saturating_add(dur);
+    fn fault_plan_parse_never_panics(
+        lines in collection::vec((0..KINDS.len(), collection::vec(token(), 0..6)), 1..6)
+    ) {
+        let text: Vec<String> =
+            lines.iter().map(|(k, fields)| format!("{} {}", KINDS[*k], fields.join(" "))).collect();
+        if let Ok(plan) = FaultPlan::parse(&text.join("\n")) {
+            for tr in plan.transitions() {
+                prop_assert!(tr.at.as_secs_f64() <= schemble_sim::fault::MAX_SECS);
+            }
+            let mut state = FaultState::new(plan.clone(), 1);
+            for ep in &plan.stragglers {
+                let fate = state.task_fate(ep.executor, ep.from, SimDuration::from_millis(500), None);
+                prop_assert!(ep.from + fate.duration >= ep.from);
+            }
         }
-        prop_assert_eq!(server.busy_time(), total);
-        prop_assert_eq!(server.completed_tasks(), durations.len() as u64);
-    }
-
-    /// Backlog FIFO order is preserved under arbitrary enqueue patterns.
-    #[test]
-    fn backlog_is_fifo(durations in proptest::collection::vec(1u64..20, 1..20)) {
-        let mut server = Server::new();
-        for (i, &d) in durations.iter().enumerate() {
-            server.enqueue(TaskId(i as u64), SimDuration::from_millis(d));
-        }
-        let mut now = SimTime::ZERO;
-        for i in 0..durations.len() {
-            let run = server.start_next(now).expect("backlog non-empty");
-            prop_assert_eq!(run.task, TaskId(i as u64));
-            server.complete(run.task, run.completes_at);
-            now = run.completes_at;
-        }
-        prop_assert!(server.start_next(now).is_none());
-    }
-
-    /// available_at is exactly now + remaining work.
-    #[test]
-    fn available_at_matches_backlog_sum(durations in proptest::collection::vec(1u64..20, 0..15)) {
-        let mut server = Server::new();
-        let mut sum = 0u64;
-        for (i, &d) in durations.iter().enumerate() {
-            server.enqueue(TaskId(i as u64), SimDuration::from_millis(d));
-            sum += d;
-        }
-        let now = SimTime::from_millis(5);
-        prop_assert_eq!(server.available_at(now), now + SimDuration::from_millis(sum));
     }
 
     /// Time arithmetic round-trips through milliseconds and seconds.

@@ -269,12 +269,30 @@ pub fn metrics_from_events(
     executors: usize,
 ) -> RuntimeMetrics {
     use crate::event::{AdmissionVerdict, TraceEvent};
+    use schemble_sim::SimTime;
     use std::collections::HashMap;
 
     let metrics = RuntimeMetrics::new(executors);
     let c = &metrics.counters;
-    let mut arrivals: HashMap<u64, schemble_sim::SimTime> = HashMap::new();
-    let mut running: HashMap<(u64, u16), schemble_sim::SimTime> = HashMap::new();
+    let mut arrivals: HashMap<u64, SimTime> = HashMap::new();
+    let mut running: HashMap<(u64, u16), SimTime> = HashMap::new();
+    // Busy time charged per executor so far, as the instant it reaches.
+    // Members of one batched pass share its interval; charging only the
+    // part past this watermark counts the pass once, like the backends.
+    let mut charged = vec![SimTime::ZERO; executors];
+    let mut charge = |running: &mut HashMap<_, _>, query: u64, executor: u16, t: SimTime| {
+        let (Some(g), Some(t0)) =
+            (metrics.executors.get(executor as usize), running.remove(&(query, executor)))
+        else {
+            return;
+        };
+        let until = &mut charged[executor as usize];
+        let from = (*until).max(t0);
+        if t > from {
+            g.busy_micros.fetch_add((t - from).as_micros(), Relaxed);
+            *until = t;
+        }
+    };
     for ev in events {
         match *ev {
             TraceEvent::Arrival { t, query, .. } => {
@@ -295,10 +313,8 @@ pub fn metrics_from_events(
                 c.tasks_completed.fetch_add(1, Relaxed);
                 if let Some(g) = metrics.executors.get(executor as usize) {
                     g.tasks.fetch_add(1, Relaxed);
-                    if let Some(t0) = running.remove(&(query, executor)) {
-                        g.busy_micros.fetch_add((t - t0).as_micros(), Relaxed);
-                    }
                 }
+                charge(&mut running, query, executor, t);
             }
             TraceEvent::QueryDone { t, query, .. } => {
                 c.completed.fetch_add(1, Relaxed);
@@ -311,11 +327,7 @@ pub fn metrics_from_events(
             }
             TraceEvent::TaskFailed { t, query, executor } => {
                 c.tasks_failed.fetch_add(1, Relaxed);
-                if let Some(g) = metrics.executors.get(executor as usize) {
-                    if let Some(t0) = running.remove(&(query, executor)) {
-                        g.busy_micros.fetch_add((t - t0).as_micros(), Relaxed);
-                    }
-                }
+                charge(&mut running, query, executor, t);
             }
             TraceEvent::TaskRetried { .. } => {
                 c.tasks_retried.fetch_add(1, Relaxed);
@@ -324,11 +336,7 @@ pub fn metrics_from_events(
                 c.tasks_saved.fetch_add(1, Relaxed);
                 // A quit of a *running* task charges the partial busy time,
                 // matching the backends (kill charges time spent so far).
-                if let Some(g) = metrics.executors.get(executor as usize) {
-                    if let Some(t0) = running.remove(&(query, executor)) {
-                        g.busy_micros.fetch_add((t - t0).as_micros(), Relaxed);
-                    }
-                }
+                charge(&mut running, query, executor, t);
             }
             TraceEvent::ExecutorDown { executor, .. } => {
                 if let Some(g) = metrics.executors.get(executor as usize) {
@@ -468,5 +476,22 @@ mod tests {
         // Failed attempt charges its partial busy time: 4ms + 10ms.
         assert_eq!(m.executors[0].busy_micros.load(Relaxed), 14_000);
         assert_eq!(m.latency.count(), 1);
+    }
+
+    #[test]
+    fn batch_members_charge_their_shared_pass_once() {
+        let events = vec![
+            TraceEvent::TaskStart { t: at(2), query: 1, executor: 0 },
+            TraceEvent::TaskStart { t: at(2), query: 2, executor: 0 },
+            TraceEvent::BatchFormed { t: at(2), executor: 0, batch: 0, size: 2 },
+            TraceEvent::TaskDone { t: at(14), query: 1, executor: 0 },
+            TraceEvent::TaskDone { t: at(14), query: 2, executor: 0 },
+            TraceEvent::TaskStart { t: at(14), query: 3, executor: 0 },
+            TraceEvent::TaskFailed { t: at(20), query: 3, executor: 0 },
+        ];
+        let m = metrics_from_events(&events, 1);
+        // One 12ms pass for both members, then the 6ms failed attempt.
+        assert_eq!(m.executors[0].busy_micros.load(Relaxed), 18_000);
+        assert_eq!(m.executors[0].tasks.load(Relaxed), 2);
     }
 }

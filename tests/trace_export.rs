@@ -7,12 +7,16 @@
 //! trace — one audit record per submitted query, every started task span
 //! closed; (4) all three export formats are well-formed.
 
+use schemble::core::engine::{AnytimePolicy, FailurePolicy};
 use schemble::core::experiment::{ExperimentConfig, ExperimentContext, Traffic};
-use schemble::core::pipeline::schemble::{run_schemble, run_schemble_traced, SchembleConfig};
+use schemble::core::pipeline::schemble::{
+    run_schemble, run_schemble_faulted, run_schemble_traced, SchembleConfig,
+};
 use schemble::core::predictor::OnlineScorer;
 use schemble::core::scheduler::DpScheduler;
 use schemble::data::TaskKind;
 use schemble::serve::{serve_schemble, ClockMode, ServeConfig};
+use schemble::sim::{BatchConfig, FaultPlan, SimDuration};
 use schemble::trace::{
     audit_ndjson, audit_records, chrome_trace, complete_task_spans, json, metrics_from_events,
     prometheus_text, TraceEvent, TraceSink,
@@ -191,4 +195,57 @@ fn exports_are_well_formed() {
     );
     // Planning self-profile made it into the exposition with >= 1 plan.
     assert!(sink.planning.plans.load(Relaxed) > 0);
+}
+
+/// The metrics exposition a DES run derives from its event stream equals
+/// the one a virtual-clock serve of the same run keeps live — counters,
+/// per-executor busy time and histograms alike — under batching (busy time
+/// of a shared pass counted once), anytime quits (cancelled tasks still
+/// count as started) and a fault plan.
+#[test]
+fn des_and_virtual_metrics_expositions_agree() {
+    let plan =
+        FaultPlan::parse("crash 1 2.0 6.0\nstraggle 0 3.0 9.0 6.0\ntransient 0.03\ntimeout-q 0.95")
+            .expect("plan parses");
+    type Tweak = fn(&mut SchembleConfig);
+    let batching: Tweak = |c| c.batching = Some(BatchConfig::new(8, SimDuration::from_millis(2)));
+    let anytime: Tweak = |c| c.anytime = Some(AnytimePolicy::default());
+    let faulted: Tweak = |c| c.failure = Some(FailurePolicy::default());
+    for (name, tweak, faults) in
+        [("batching", batching, None), ("anytime", anytime, None), ("faults", faulted, Some(&plan))]
+    {
+        let mut ctx = context(400);
+        let workload = ctx.workload();
+        let seed = ctx.config.seed;
+        let m = ctx.ensemble.m();
+
+        let des_sink = TraceSink::enabled();
+        let mut des_cfg = schemble_config(&mut ctx);
+        tweak(&mut des_cfg);
+        run_schemble_faulted(
+            &ctx.ensemble,
+            &des_cfg,
+            &workload,
+            seed,
+            Arc::clone(&des_sink),
+            faults,
+        );
+        let derived = metrics_from_events(&des_sink.drain(), m);
+
+        let mut serve_cfg = schemble_config(&mut ctx);
+        tweak(&mut serve_cfg);
+        let scfg = ServeConfig {
+            mode: ClockMode::Virtual,
+            trace: Some(TraceSink::enabled()),
+            faults: faults.cloned(),
+            ..ServeConfig::default()
+        };
+        let report = serve_schemble(&ctx.ensemble, &serve_cfg, &workload, seed, &scfg);
+        assert!(report.metrics.counters.tasks_started.load(Relaxed) > 0, "{name}: tasks ran");
+        assert_eq!(
+            prometheus_text(&derived, report.sim_secs, None),
+            prometheus_text(&report.metrics, report.sim_secs, None),
+            "{name}: DES-derived and live virtual-clock metrics differ"
+        );
+    }
 }
