@@ -77,7 +77,6 @@ use schemble_serve::{serve_schemble, ClockMode, ServeConfig, ServeReport};
 use schemble_sim::{BatchConfig, SimDuration};
 use schemble_trace::TraceSink;
 use std::process::ExitCode;
-use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -463,11 +462,11 @@ fn run_bench() -> BenchResult {
     let (report, sink) = serve_once(&bench, 1);
 
     let p = &sink.planning;
-    let plans = p.plans.load(Relaxed);
+    let plans = p.plans();
     BenchResult {
         queries: bench.workload.len(),
-        p50_latency_ms: 1e3 * report.metrics.latency.quantile(0.50).unwrap_or(0.0),
-        p99_latency_ms: 1e3 * report.metrics.latency.quantile(0.99).unwrap_or(0.0),
+        p50_latency_ms: 1e3 * report.metrics.latency.quantile_secs(0.50).unwrap_or(0.0),
+        p99_latency_ms: 1e3 * report.metrics.latency.quantile_secs(0.99).unwrap_or(0.0),
         queries_per_sec: bench.workload.len() as f64 / report.wall_secs.max(1e-9),
         plans_per_sec: plans as f64 / report.wall_secs.max(1e-9),
         sched_overhead_us: 1e6 * p.mean_secs().unwrap_or(0.0),
@@ -513,8 +512,8 @@ fn run_obs_bench() -> Result<ObsResult, String> {
     let (off, _) = serve_once(&bench, 1);
     let (on, events, obs_fold_ms) = serve_once_obs(&bench);
 
-    let p99_off = 1e3 * off.metrics.latency.quantile(0.99).unwrap_or(0.0);
-    let p99_on = 1e3 * on.metrics.latency.quantile(0.99).unwrap_or(0.0);
+    let p99_off = 1e3 * off.metrics.latency.quantile_secs(0.99).unwrap_or(0.0);
+    let p99_on = 1e3 * on.metrics.latency.quantile_secs(0.99).unwrap_or(0.0);
     let delta_pct = 100.0 * (p99_on - p99_off).abs() / p99_off.max(1e-9);
     let result = ObsResult {
         queries: bench.workload.len(),
@@ -582,8 +581,8 @@ fn run_anytime_bench() -> Result<AnytimeResult, String> {
         acc_delta_pp: acc_full_pct - acc_anytime_pct,
         tasks_saved,
         saved_frac: tasks_saved as f64 / attempted.max(1) as f64,
-        p99_full_ms: 1e3 * full_report.metrics.latency.quantile(0.99).unwrap_or(0.0),
-        p99_anytime_ms: 1e3 * any_report.metrics.latency.quantile(0.99).unwrap_or(0.0),
+        p99_full_ms: 1e3 * full_report.metrics.latency.quantile_secs(0.99).unwrap_or(0.0),
+        p99_anytime_ms: 1e3 * any_report.metrics.latency.quantile_secs(0.99).unwrap_or(0.0),
         models_per_query_full: full_report.summary.mean_models_used(),
         models_per_query_anytime: any_report.summary.mean_models_used(),
         wall_full_secs: full_report.wall_secs,
@@ -664,7 +663,7 @@ fn run_batch_sweep() -> Result<BatchSweep, String> {
             queries_per_sec: report.stats.completed as f64 / report.sim_secs.max(1e-9),
             deadline_miss_rate: report.summary.deadline_miss_rate(),
             tasks_batched: report.snapshot.tasks_batched,
-            p99_latency_ms: 1e3 * report.metrics.latency.quantile(0.99).unwrap_or(0.0),
+            p99_latency_ms: 1e3 * report.metrics.latency.quantile_secs(0.99).unwrap_or(0.0),
         };
         println!(
             "  b={:<2} {:>5} completed  {:>8.1} q/s served  dmr {:>6.3}%  p99 {:>8.3} ms  {:>5} tasks batched",
@@ -781,7 +780,7 @@ fn run_shard_sweep() -> ShardSweep {
             shards,
             queries: bench.workload.len(),
             queries_per_sec: bench.workload.len() as f64 / report.wall_secs.max(1e-9),
-            p99_latency_ms: 1e3 * report.metrics.latency.quantile(0.99).unwrap_or(0.0),
+            p99_latency_ms: 1e3 * report.metrics.latency.quantile_secs(0.99).unwrap_or(0.0),
             deadline_miss_rate: report.summary.deadline_miss_rate(),
         };
         println!(
@@ -811,7 +810,7 @@ fn run_shard_sweep() -> ShardSweep {
             shards,
             queries: bench.workload.len(),
             queries_per_sec: bench.workload.len() as f64 / report.wall_secs.max(1e-9),
-            p99_latency_ms: 1e3 * report.metrics.latency.quantile(0.99).unwrap_or(0.0),
+            p99_latency_ms: 1e3 * report.metrics.latency.quantile_secs(0.99).unwrap_or(0.0),
             deadline_miss_rate: report.summary.deadline_miss_rate(),
         };
         println!(

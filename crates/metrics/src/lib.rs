@@ -11,11 +11,14 @@
 //! * **mAP** — mean average precision for retrieval (AP of a single relevant
 //!   item = 1/rank);
 //! * **latency statistics** — mean / P95 / max (Table II);
+//! * **runtime telemetry** — live counters and the one integer log-linear
+//!   [`Histogram`] behind every latency and size distribution;
 //! * **trade-off objective** — `c = 100·Acc − λ·Latency` (Fig. 11/15);
 //! * **per-time-segment aggregation** — hourly series (Fig. 9/14).
 
 pub mod aggregate;
 pub mod export;
+pub mod histogram;
 pub mod latency;
 pub mod outcome;
 pub mod runtime;
@@ -24,8 +27,9 @@ pub mod tradeoff;
 
 pub use aggregate::SeedStats;
 pub use export::{to_csv, write_csv};
+pub use histogram::Histogram;
 pub use latency::LatencyStats;
 pub use outcome::{ModelUsage, QueryOutcome, QueryRecord, RunSummary};
-pub use runtime::{LatencyHistogram, RuntimeCounters, RuntimeMetrics, RuntimeSnapshot};
+pub use runtime::{RuntimeCounters, RuntimeMetrics, RuntimeSnapshot};
 pub use segments::SegmentSeries;
 pub use tradeoff::tradeoff_objective;

@@ -6,18 +6,8 @@
 //! value is independently meaningful and monotone, which is all a metrics
 //! export needs.
 
-use crate::latency::LatencyStats;
+use crate::histogram::{sat_add, Histogram};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-/// Saturating atomic add: `dst += n`, clamping at `u64::MAX` instead of
-/// wrapping. Merging counters from many shards must never wrap a total.
-fn sat_add(dst: &AtomicU64, n: u64) {
-    if n == 0 {
-        return;
-    }
-    // fetch_update with a pure closure never fails permanently under Relaxed.
-    let _ = dst.fetch_update(Relaxed, Relaxed, |cur| Some(cur.saturating_add(n)));
-}
 
 /// Query- and task-level counters shared between the runtime and observers.
 ///
@@ -135,149 +125,6 @@ impl ExecutorGauges {
     }
 }
 
-/// A fixed-bucket, log-spaced latency histogram with atomic counts.
-///
-/// Buckets span 100 µs to ~100 s with 8 buckets per octave; one update is a
-/// single relaxed `fetch_add`, so worker threads can record without
-/// coordination.
-#[derive(Debug)]
-pub struct LatencyHistogram {
-    buckets: Vec<AtomicU64>,
-    /// Values below the first bucket edge.
-    underflow: AtomicU64,
-    /// Sum of all observations, in microseconds (for exporter `_sum` rows).
-    sum_micros: AtomicU64,
-}
-
-/// Number of histogram buckets (8 per octave over 20 octaves).
-const HIST_BUCKETS: usize = 160;
-/// Lower edge of bucket 0, seconds.
-const HIST_MIN_SECS: f64 = 1e-4;
-/// Buckets per factor-of-two.
-const HIST_PER_OCTAVE: f64 = 8.0;
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self {
-            buckets: (0..HIST_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            underflow: AtomicU64::new(0),
-            sum_micros: AtomicU64::new(0),
-        }
-    }
-
-    fn bucket_of(secs: f64) -> Option<usize> {
-        if secs.is_nan() || secs < HIST_MIN_SECS {
-            return None;
-        }
-        let idx = ((secs / HIST_MIN_SECS).log2() * HIST_PER_OCTAVE) as usize;
-        Some(idx.min(HIST_BUCKETS - 1))
-    }
-
-    /// Lower edge of bucket `i`, seconds.
-    fn edge(i: usize) -> f64 {
-        HIST_MIN_SECS * 2f64.powf(i as f64 / HIST_PER_OCTAVE)
-    }
-
-    /// Records one latency observation.
-    pub fn record(&self, secs: f64) {
-        match Self::bucket_of(secs) {
-            Some(i) => self.buckets[i].fetch_add(1, Relaxed),
-            None => self.underflow.fetch_add(1, Relaxed),
-        };
-        if secs.is_finite() && secs > 0.0 {
-            self.sum_micros.fetch_add((secs * 1e6) as u64, Relaxed);
-        }
-    }
-
-    /// Sum of all observations, in seconds (µs resolution).
-    pub fn sum_secs(&self) -> f64 {
-        self.sum_micros.load(Relaxed) as f64 / 1e6
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.underflow.load(Relaxed) + self.buckets.iter().map(|b| b.load(Relaxed)).sum::<u64>()
-    }
-
-    /// Approximate `q`-quantile (0 ≤ q ≤ 1) from bucket edges; `None` while
-    /// empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = self.underflow.load(Relaxed);
-        if seen >= target {
-            return Some(0.0);
-        }
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Relaxed);
-            if seen >= target {
-                // Report the bucket's geometric midpoint.
-                return Some((Self::edge(i) * Self::edge(i + 1)).sqrt());
-            }
-        }
-        Some(Self::edge(HIST_BUCKETS))
-    }
-
-    /// Cumulative counts at each occupied bucket's *upper* edge, as
-    /// `(upper_edge_secs, cumulative_count)` pairs — the shape Prometheus
-    /// `le` buckets want. Only edges where the cumulative count grows are
-    /// emitted, so sparse histograms stay small.
-    pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
-        let mut out = Vec::new();
-        let mut cumulative = self.underflow.load(Relaxed);
-        if cumulative > 0 {
-            out.push((HIST_MIN_SECS, cumulative));
-        }
-        for (i, b) in self.buckets.iter().enumerate() {
-            let n = b.load(Relaxed);
-            if n > 0 {
-                cumulative += n;
-                out.push((Self::edge(i + 1), cumulative));
-            }
-        }
-        out
-    }
-
-    /// Folds `other`'s observations into `self` (saturating, bucket-wise).
-    ///
-    /// Both histograms share the fixed bucket layout, so the merge is a
-    /// pairwise add; like [`RuntimeCounters::merge`] it is order-insensitive,
-    /// which makes cross-shard histogram aggregation deterministic no matter
-    /// which shard finishes first.
-    pub fn merge(&self, other: &LatencyHistogram) {
-        for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
-            sat_add(dst, src.load(Relaxed));
-        }
-        sat_add(&self.underflow, other.underflow.load(Relaxed));
-        sat_add(&self.sum_micros, other.sum_micros.load(Relaxed));
-    }
-
-    /// Non-empty buckets as `(lower_edge_secs, count)` pairs.
-    pub fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
-        let mut out = Vec::new();
-        if self.underflow.load(Relaxed) > 0 {
-            out.push((0.0, self.underflow.load(Relaxed)));
-        }
-        for (i, b) in self.buckets.iter().enumerate() {
-            let n = b.load(Relaxed);
-            if n > 0 {
-                out.push((Self::edge(i), n));
-            }
-        }
-        out
-    }
-}
-
 /// Everything the runtime exposes to observers, behind one allocation.
 #[derive(Debug)]
 pub struct RuntimeMetrics {
@@ -285,12 +132,11 @@ pub struct RuntimeMetrics {
     pub counters: RuntimeCounters,
     /// Per-executor gauges, fixed at construction.
     pub executors: Vec<ExecutorGauges>,
-    /// End-to-end latency of completed queries.
-    pub latency: LatencyHistogram,
-    /// Size of each launched batch. The histogram machinery is shared with
-    /// latency, so "observations" here are batch sizes (1, 2, …), not
-    /// seconds; the log-spaced buckets resolve sizes up to the low hundreds.
-    pub batch_size: LatencyHistogram,
+    /// End-to-end latency of completed queries, nanoseconds.
+    pub latency: Histogram,
+    /// Size of each launched batch (a [`Histogram::counts`]: sizes below 16
+    /// have exact buckets, and `sum_secs` is the plain sum of sizes).
+    pub batch_size: Histogram,
 }
 
 impl RuntimeMetrics {
@@ -299,8 +145,8 @@ impl RuntimeMetrics {
         Self {
             counters: RuntimeCounters::new(),
             executors: (0..executors).map(|_| ExecutorGauges::default()).collect(),
-            latency: LatencyHistogram::new(),
-            batch_size: LatencyHistogram::new(),
+            latency: Histogram::nanos(),
+            batch_size: Histogram::counts(),
         }
     }
 
@@ -355,9 +201,9 @@ impl RuntimeMetrics {
                     }
                 })
                 .collect(),
-            latency_p50: self.latency.quantile(0.50),
-            latency_p95: self.latency.quantile(0.95),
-            latency_p99: self.latency.quantile(0.99),
+            latency_p50: self.latency.quantile_secs(0.50),
+            latency_p95: self.latency.quantile_secs(0.95),
+            latency_p99: self.latency.quantile_secs(0.99),
         }
     }
 }
@@ -428,15 +274,6 @@ impl RuntimeSnapshot {
     }
 }
 
-/// Summarises a histogram against exact stats (used in tests and reports to
-/// sanity-check the approximation).
-pub fn histogram_consistent(h: &LatencyHistogram, exact: &LatencyStats, tol_frac: f64) -> bool {
-    match h.quantile(0.95) {
-        Some(p95) => (p95 - exact.p95).abs() <= tol_frac * exact.p95.max(1e-3),
-        None => exact.p95 == 0.0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,80 +296,6 @@ mod tests {
         assert_eq!(s.up, vec![true, true]);
         m.executors[1].up.store(0, Relaxed);
         assert_eq!(m.snapshot(0.0).up, vec![true, false]);
-    }
-
-    #[test]
-    fn histogram_quantiles_bracket_observations() {
-        let h = LatencyHistogram::new();
-        for _ in 0..100 {
-            h.record(0.010);
-        }
-        for _ in 0..5 {
-            h.record(1.0);
-        }
-        assert_eq!(h.count(), 105);
-        let p50 = h.quantile(0.5).unwrap();
-        assert!((0.005..0.02).contains(&p50), "p50 {p50}");
-        let p99 = h.quantile(0.99).unwrap();
-        assert!((0.5..2.0).contains(&p99), "p99 {p99}");
-    }
-
-    #[test]
-    fn histogram_handles_tiny_and_zero_values() {
-        let h = LatencyHistogram::new();
-        h.record(0.0);
-        h.record(1e-6);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.quantile(0.5), Some(0.0));
-    }
-
-    #[test]
-    fn log_bucket_boundaries_pin_to_spec() {
-        // The histogram spans 1e-4 s upward with 8 buckets per octave:
-        // edge(i) = 1e-4 * 2^(i/8). Pin the boundaries so a silent change
-        // to the bucket layout breaks loudly (exporters and dashboards
-        // depend on these edges).
-        assert_eq!(LatencyHistogram::edge(0), HIST_MIN_SECS);
-        assert!((LatencyHistogram::edge(8) - 2e-4).abs() < 1e-12, "one octave doubles");
-        assert!((LatencyHistogram::edge(16) - 4e-4).abs() < 1e-12, "two octaves quadruple");
-        for i in 0..HIST_BUCKETS {
-            assert!(
-                LatencyHistogram::edge(i) < LatencyHistogram::edge(i + 1),
-                "edges must be strictly increasing at {i}"
-            );
-        }
-        // Values at (or just above) a lower edge land in that bucket;
-        // values below the first edge underflow.
-        assert_eq!(LatencyHistogram::bucket_of(HIST_MIN_SECS), Some(0));
-        assert_eq!(LatencyHistogram::bucket_of(2.0001e-4), Some(8));
-        assert_eq!(LatencyHistogram::bucket_of(9.9e-5), None);
-        assert_eq!(LatencyHistogram::bucket_of(f64::NAN), None);
-        // Far beyond the last edge clamps into the final bucket.
-        assert_eq!(LatencyHistogram::bucket_of(1e9), Some(HIST_BUCKETS - 1));
-    }
-
-    #[test]
-    fn cumulative_buckets_match_prometheus_shape() {
-        let h = LatencyHistogram::new();
-        h.record(5e-5); // underflow
-        for _ in 0..3 {
-            h.record(0.010);
-        }
-        for _ in 0..2 {
-            h.record(1.0);
-        }
-        let cum = h.cumulative_buckets();
-        assert_eq!(cum.first().map(|&(e, n)| (e, n)), Some((HIST_MIN_SECS, 1)));
-        assert_eq!(cum.last().map(|&(_, n)| n), Some(h.count()), "last bucket holds the total");
-        for w in cum.windows(2) {
-            assert!(w[0].0 < w[1].0, "upper edges strictly increase");
-            assert!(w[0].1 <= w[1].1, "counts are cumulative");
-        }
-        // Each observation must sit at or below the upper edge it counts
-        // toward: 0.010 s under the first post-underflow edge.
-        let edge_10ms = cum[1].0;
-        assert!((0.010..0.012).contains(&edge_10ms), "upper edge {edge_10ms}");
-        assert!((h.sum_secs() - (5e-5 + 3.0 * 0.010 + 2.0)).abs() < 1e-5);
     }
 
     #[test]
@@ -590,10 +353,11 @@ mod tests {
         c.tasks_retried.store(base / 2, Relaxed);
         c.tasks_saved.store(base / 3, Relaxed);
         c.tasks_batched.store(base / 4, Relaxed);
+        c.queries_stolen.store(base / 5, Relaxed);
         c
     }
 
-    fn counter_values(c: &RuntimeCounters) -> [u64; 11] {
+    fn counter_values(c: &RuntimeCounters) -> [u64; 12] {
         [
             c.submitted.load(Relaxed),
             c.completed.load(Relaxed),
@@ -606,6 +370,7 @@ mod tests {
             c.tasks_retried.load(Relaxed),
             c.tasks_saved.load(Relaxed),
             c.tasks_batched.load(Relaxed),
+            c.queries_stolen.load(Relaxed),
         ]
     }
 
@@ -632,82 +397,17 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_is_order_insensitive() {
-        let a = LatencyHistogram::new();
-        let b = LatencyHistogram::new();
-        for _ in 0..50 {
-            a.record(0.010);
-        }
-        a.record(5e-5); // underflow
-        for _ in 0..7 {
-            b.record(1.0);
-        }
-        b.record(0.010);
-
-        let ab = LatencyHistogram::new();
-        ab.merge(&a);
-        ab.merge(&b);
-        let ba = LatencyHistogram::new();
-        ba.merge(&b);
-        ba.merge(&a);
-        assert_eq!(ab.count(), a.count() + b.count());
-        assert_eq!(ab.cumulative_buckets(), ba.cumulative_buckets());
-        assert_eq!(ab.nonzero_buckets(), ba.nonzero_buckets());
-        assert!((ab.sum_secs() - (a.sum_secs() + b.sum_secs())).abs() < 1e-9);
-        assert_eq!(ab.quantile(0.5), ba.quantile(0.5));
-    }
-
-    #[test]
-    fn merging_empty_counters_and_histograms_is_identity() {
+    fn merging_empty_counters_is_identity() {
         let c = RuntimeCounters::new();
         c.merge(&RuntimeCounters::new());
-        assert_eq!(counter_values(&c), [0; 11]);
+        assert_eq!(counter_values(&c), [0; 12]);
         assert_eq!(c.open(), 0);
-
-        let h = LatencyHistogram::new();
-        h.merge(&LatencyHistogram::new());
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.sum_secs(), 0.0);
-        assert_eq!(h.quantile(0.5), None);
-        assert!(h.nonzero_buckets().is_empty());
 
         // Identity also holds asymmetrically: empty ⊕ seeded == seeded.
         let seeded = seeded_counters(5);
         let into = RuntimeCounters::new();
         into.merge(&seeded);
         assert_eq!(counter_values(&into), counter_values(&seeded));
-    }
-
-    #[test]
-    fn histogram_merge_saturates_instead_of_wrapping() {
-        let a = LatencyHistogram::new();
-        a.sum_micros.store(u64::MAX - 10, Relaxed);
-        a.buckets[0].store(u64::MAX - 1, Relaxed);
-        let b = LatencyHistogram::new();
-        b.sum_micros.store(100, Relaxed);
-        b.buckets[0].store(100, Relaxed);
-        a.merge(&b);
-        assert_eq!(a.sum_micros.load(Relaxed), u64::MAX);
-        assert_eq!(a.buckets[0].load(Relaxed), u64::MAX);
-        // A saturated count still yields a well-defined (clamped) quantile.
-        assert_eq!(a.quantile(1.0), a.quantile(0.0));
-    }
-
-    #[test]
-    fn single_bucket_histograms_merge_to_that_bucket() {
-        let a = LatencyHistogram::new();
-        let b = LatencyHistogram::new();
-        for _ in 0..3 {
-            a.record(0.010);
-            b.record(0.010);
-        }
-        let m = LatencyHistogram::new();
-        m.merge(&a);
-        m.merge(&b);
-        assert_eq!(m.count(), 6);
-        assert_eq!(m.nonzero_buckets().len(), 1);
-        assert_eq!(m.quantile(0.0), m.quantile(1.0), "all mass in one bucket");
-        assert_eq!(m.quantile(0.5), a.quantile(0.5));
     }
 
     #[test]
@@ -718,8 +418,9 @@ mod tests {
         s0.counters.completed.store(5, Relaxed);
         s1.counters.submitted.store(3, Relaxed);
         s1.counters.completed.store(3, Relaxed);
-        s0.latency.record(0.010);
-        s1.latency.record(0.020);
+        s0.latency.record(10_000_000);
+        s1.latency.record(20_000_000);
+        s0.batch_size.record(3);
         s0.executors[1].busy_micros.store(250_000, Relaxed);
         s1.executors[0].busy_micros.store(750_000, Relaxed);
         s1.executors[1].up.store(0, Relaxed);
@@ -729,6 +430,8 @@ mod tests {
         assert_eq!(snap.submitted, 8);
         assert_eq!(snap.open, 0);
         assert_eq!(merged.latency.count(), 2);
+        assert_eq!(merged.latency.sum(), 30_000_000);
+        assert_eq!(merged.batch_size.sum_secs(), 3.0, "batch sizes keep their unit");
         assert_eq!(snap.up, vec![true, true, true, false]);
         assert!((snap.utilization[1] - 0.25).abs() < 1e-9);
         assert!((snap.utilization[2] - 0.75).abs() < 1e-9, "shard 1 executor 0 at index 2");

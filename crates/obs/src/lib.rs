@@ -1,7 +1,7 @@
 //! `schemble-obs`: live introspection over the trace stream.
 //!
 //! Everything in this crate is a *pure fold* over the
-//! [`TraceEvent`](schemble_trace::TraceEvent) stream the serving stack
+//! [`TraceEvent`] stream the serving stack
 //! already emits — no new instrumentation in the hot path, no wall-clock
 //! reads, integer arithmetic throughout. Because the DES pipeline and the
 //! virtual-clock serve backend produce byte-identical event streams (pinned
@@ -33,9 +33,10 @@ pub mod series;
 pub use drift::{DriftState, ExecutorDrift};
 pub use explain::{explain_query, AssignStep, Outcome, PlanExplain, TaskStep, TaskStepKind};
 pub use recorder::{event_json, FlightRecorder, TripReason};
-pub use series::{LatencyWindow, SloSeries, SloTotals, WindowStats};
+pub use series::{SloSeries, SloTotals, WindowStats};
 
 use schemble_sim::{SimDuration, SimTime};
+use schemble_trace::prometheus::{labeled, scalar};
 use schemble_trace::{AdmissionVerdict, TraceEvent};
 use std::collections::{BTreeMap, HashMap};
 
@@ -191,8 +192,11 @@ impl ObsState {
         let with_steals = self.series.totals.stolen > 0;
         let mut out = String::new();
         for w in self.series.windows() {
-            let stolen =
-                if with_steals { format!(",\"stolen\":{}", w.stolen) } else { String::new() };
+            let stolen = if with_steals {
+                format!(",\"stolen\":{}", w.counts.stolen)
+            } else {
+                String::new()
+            };
             out.push_str(&format!(
                 "{{\"window\":{},\"start_us\":{},\"arrivals\":{},\"completed\":{},\
                  \"degraded\":{},\"expired\":{},\"rejected\":{},\"missed\":{},\
@@ -201,33 +205,34 @@ impl ObsState {
                  \"latency_sum_us\":{},\"queue_depth\":{}{stolen}}}\n",
                 w.index,
                 w.index * window_us,
-                w.arrivals,
-                w.completed,
-                w.degraded,
-                w.expired,
-                w.rejected,
-                w.missed,
-                w.failures,
-                w.retries,
-                w.plans,
-                w.sched_cost_us,
-                w.plan_work,
-                w.latency.quantile_us(0.50).unwrap_or(0),
-                w.latency.quantile_us(0.99).unwrap_or(0),
+                w.counts.arrivals,
+                w.counts.completed,
+                w.counts.degraded,
+                w.counts.expired,
+                w.counts.rejected,
+                w.counts.missed,
+                w.counts.failures,
+                w.counts.retries,
+                w.counts.plans,
+                w.counts.sched_cost_us,
+                w.counts.plan_work,
+                quantile_us(w, 0.50),
+                quantile_us(w, 0.99),
                 w.latency.count(),
-                w.latency.sum_us(),
-                w.open_at_end.unwrap_or(0),
+                w.latency.sum() / 1000,
+                self.series.queue_depth(w).unwrap_or(0),
             ));
         }
         out
     }
 
     /// Prometheus text exposition of the fold: run totals, the newest
-    /// window's gauges, and the drift counters. Integer samples only.
+    /// window's gauges, and the drift counters. Integer samples only,
+    /// written by the same helpers as `schemble_trace::prometheus_text`.
     pub fn prometheus(&self) -> String {
         let mut out = String::new();
         let mut counter = |name: &str, help: &str, value: u64| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"));
+            scalar(&mut out, name, "counter", help, value);
         };
         let t = &self.series.totals;
         counter("schemble_obs_arrivals_total", "Query arrivals observed.", t.arrivals);
@@ -265,7 +270,7 @@ impl ObsState {
         counter("schemble_obs_drift_incorrect_total", "Incorrect assembled answers.", d.incorrect);
 
         let mut gauge = |name: &str, help: &str, value: u64| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"));
+            scalar(&mut out, name, "gauge", help, value);
         };
         gauge("schemble_obs_open_queries", "Queries in flight.", self.series.live_open());
         let windows = self.series.windows();
@@ -275,36 +280,39 @@ impl ObsState {
             gauge(
                 "schemble_obs_window_p50_micros",
                 "Newest window's p50 end-to-end latency, microseconds.",
-                w.latency.quantile_us(0.50).unwrap_or(0),
+                quantile_us(w, 0.50),
             );
             gauge(
                 "schemble_obs_window_p99_micros",
                 "Newest window's p99 end-to-end latency, microseconds.",
-                w.latency.quantile_us(0.99).unwrap_or(0),
+                quantile_us(w, 0.99),
             );
-            gauge("schemble_obs_window_missed", "Newest window's deadline misses.", w.missed);
-            gauge("schemble_obs_window_degraded", "Newest window's degraded answers.", w.degraded);
+            let c = &w.counts;
+            gauge("schemble_obs_window_missed", "Newest window's deadline misses.", c.missed);
+            gauge("schemble_obs_window_degraded", "Newest window's degraded answers.", c.degraded);
             gauge(
                 "schemble_obs_window_queue_depth",
                 "Open queries at the newest window's close.",
-                w.open_at_end.unwrap_or(0),
+                self.series.queue_depth(w).unwrap_or(0),
             );
             gauge(
                 "schemble_obs_window_sched_cost_micros",
                 "Newest window's scheduling cost, microseconds.",
-                w.sched_cost_us,
+                c.sched_cost_us,
             );
         }
         if !self.shard_backlog.is_empty() {
-            out.push_str(
-                "# HELP schemble_obs_shard_backlog Steal-eligible queue depth each shard last published at a steal epoch.\n# TYPE schemble_obs_shard_backlog gauge\n",
+            labeled(
+                &mut out,
+                "schemble_obs_shard_backlog",
+                "gauge",
+                "Steal-eligible queue depth each shard last published at a steal epoch.",
+                "shard",
+                &self.shard_backlog,
             );
-            for (shard, depth) in &self.shard_backlog {
-                out.push_str(&format!("schemble_obs_shard_backlog{{shard=\"{shard}\"}} {depth}\n"));
-            }
         }
         if !d.executors.is_empty() {
-            for (metric, help, get) in [
+            for (name, help, get) in [
                 (
                     "schemble_obs_exec_tasks_total",
                     "Completed tasks measured by the latency-drift detector.",
@@ -326,14 +334,18 @@ impl ObsState {
                     |e: &ExecutorDrift| e.outliers,
                 ),
             ] {
-                out.push_str(&format!("# HELP {metric} {help}\n# TYPE {metric} counter\n"));
-                for (k, e) in d.executors.iter().enumerate() {
-                    out.push_str(&format!("{metric}{{executor=\"{k}\"}} {}\n", get(e)));
-                }
+                let samples = d.executors.iter().map(get).enumerate();
+                labeled(&mut out, name, "counter", help, "executor", samples);
             }
         }
         out
     }
+}
+
+/// A window's latency `q`-quantile in whole microseconds (0 while empty):
+/// the bucket's upper edge, never below the exact value.
+fn quantile_us(w: &WindowStats, q: f64) -> u64 {
+    w.latency.quantile(q).map_or(0, |ns| ns / 1000)
 }
 
 #[cfg(test)]

@@ -9,108 +9,16 @@
 //! yields byte-identical exports, which is what lets the DES and the
 //! virtual-clock serve backend cross-validate their telemetry.
 
+use schemble_metrics::Histogram;
 use schemble_sim::{SimDuration, SimTime};
 
-/// Number of latency-histogram buckets (4 per octave over 20 octaves).
-const LAT_BUCKETS: usize = 80;
-/// Lower edge of bucket 0, microseconds.
-const LAT_MIN_US: u64 = 100;
-/// Buckets per factor-of-two.
-const LAT_PER_OCTAVE: f64 = 4.0;
 /// Ring-slot sentinel: no window stored.
 const EMPTY_SLOT: u64 = u64::MAX;
 
-/// A plain-integer log-bucketed latency histogram (microseconds).
-///
-/// The non-atomic sibling of `schemble_metrics::LatencyHistogram`, sized for
-/// per-window use: quantiles are reported as integer bucket upper edges so
-/// every derived number is exactly reproducible.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatencyWindow {
-    buckets: Vec<u64>,
-    underflow: u64,
-    count: u64,
-    sum_us: u64,
-}
-
-impl Default for LatencyWindow {
-    fn default() -> Self {
-        Self { buckets: vec![0; LAT_BUCKETS], underflow: 0, count: 0, sum_us: 0 }
-    }
-}
-
-impl LatencyWindow {
-    /// Lower edge of bucket `i`, microseconds (a pure function of `i`).
-    fn edge_us(i: usize) -> u64 {
-        (LAT_MIN_US as f64 * 2f64.powf(i as f64 / LAT_PER_OCTAVE)).round() as u64
-    }
-
-    fn bucket_of(us: u64) -> Option<usize> {
-        if us < LAT_MIN_US {
-            return None;
-        }
-        let idx = ((us as f64 / LAT_MIN_US as f64).log2() * LAT_PER_OCTAVE) as usize;
-        Some(idx.min(LAT_BUCKETS - 1))
-    }
-
-    /// Records one latency observation, in microseconds.
-    pub fn record_us(&mut self, us: u64) {
-        match Self::bucket_of(us) {
-            Some(i) => self.buckets[i] += 1,
-            None => self.underflow += 1,
-        }
-        self.count += 1;
-        self.sum_us = self.sum_us.saturating_add(us);
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations, microseconds.
-    pub fn sum_us(&self) -> u64 {
-        self.sum_us
-    }
-
-    /// The `q`-quantile as the *upper edge* (µs) of the bucket holding it —
-    /// an integer, so exports built from it are byte-stable. `None` while
-    /// empty; underflow observations report 0.
-    pub fn quantile_us(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = self.underflow;
-        if seen >= target {
-            return Some(0);
-        }
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return Some(Self::edge_us(i + 1));
-            }
-        }
-        Some(Self::edge_us(LAT_BUCKETS))
-    }
-
-    /// Folds `other` into `self` (bucket-wise, saturating on the sum).
-    pub fn merge_from(&mut self, other: &LatencyWindow) {
-        for (dst, src) in self.buckets.iter_mut().zip(&other.buckets) {
-            *dst += src;
-        }
-        self.underflow += other.underflow;
-        self.count += other.count;
-        self.sum_us = self.sum_us.saturating_add(other.sum_us);
-    }
-}
-
-/// Aggregates for one time window.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WindowStats {
-    /// Absolute window index (`t / window_us`).
-    pub index: u64,
-    /// Query arrivals in the window.
+/// Event counters, kept once per window and once for the whole run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SloTotals {
+    /// Query arrivals.
     pub arrivals: u64,
     /// Queries completed with a full result.
     pub completed: u64,
@@ -135,40 +43,39 @@ pub struct WindowStats {
     pub plan_work: u64,
     /// Queries adopted by a thief shard via work stealing.
     pub stolen: u64,
-    /// End-to-end latency of queries closed in this window.
-    pub latency: LatencyWindow,
-    /// Open queries when the window closed (`None` until a later window
-    /// opens; the export stamps the live value for the newest window).
-    pub open_at_end: Option<u64>,
 }
 
-/// Run-level totals, exempt from ring eviction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SloTotals {
-    /// Query arrivals.
-    pub arrivals: u64,
-    /// Full completions.
-    pub completed: u64,
-    /// Degraded answers.
-    pub degraded: u64,
-    /// Post-admission expiries.
-    pub expired: u64,
-    /// Admission rejections.
-    pub rejected: u64,
-    /// Deadline misses (see [`WindowStats::missed`]).
-    pub missed: u64,
-    /// Task failures.
-    pub failures: u64,
-    /// Task retries.
-    pub retries: u64,
-    /// Planning passes.
-    pub plans: u64,
-    /// Scheduling cost, microseconds.
-    pub sched_cost_us: u64,
-    /// Scheduler work units.
-    pub plan_work: u64,
-    /// Queries transferred between shards by work stealing.
-    pub stolen: u64,
+impl SloTotals {
+    /// Adds `other`'s counters into `self`.
+    pub fn add(&mut self, other: &SloTotals) {
+        self.arrivals += other.arrivals;
+        self.completed += other.completed;
+        self.degraded += other.degraded;
+        self.expired += other.expired;
+        self.rejected += other.rejected;
+        self.missed += other.missed;
+        self.failures += other.failures;
+        self.retries += other.retries;
+        self.plans += other.plans;
+        self.sched_cost_us += other.sched_cost_us;
+        self.plan_work += other.plan_work;
+        self.stolen += other.stolen;
+    }
+}
+
+/// Aggregates for one time window.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WindowStats {
+    /// Absolute window index (`t / window_us`).
+    pub index: u64,
+    /// The window's event counters.
+    pub counts: SloTotals,
+    /// End-to-end latency of queries closed in this window, nanoseconds.
+    pub latency: Histogram,
+    /// Open queries when the window closed (`None` until a later window
+    /// opens; [`SloSeries::queue_depth`] reads the live value for the
+    /// newest window).
+    pub open_at_end: Option<u64>,
 }
 
 /// The windowed ring: most recent `capacity` windows by absolute index.
@@ -245,129 +152,100 @@ impl SloSeries {
         Some(slot_idx)
     }
 
+    /// Adds `delta` to the run totals and to the window holding `t`, and
+    /// returns that window unless it is older than the ring retains.
+    fn add(&mut self, t: SimTime, delta: SloTotals) -> Option<&mut WindowStats> {
+        let slot = self.touch(t);
+        self.totals.add(&delta);
+        let w = &mut self.slots[slot?];
+        w.counts.add(&delta);
+        Some(w)
+    }
+
+    /// Closes one open query at `t` with `delta`; `latency_us` is its
+    /// end-to-end latency.
+    fn close(&mut self, t: SimTime, delta: SloTotals, latency_us: Option<u64>) {
+        let w = self.add(t, delta);
+        if let (Some(w), Some(us)) = (w, latency_us) {
+            w.latency.record(us.saturating_mul(1000));
+        }
+        self.live_open = self.live_open.saturating_sub(1);
+    }
+
     /// Records a query arrival.
     pub fn on_arrival(&mut self, t: SimTime) {
-        let slot = self.touch(t);
-        self.totals.arrivals += 1;
+        self.add(t, SloTotals { arrivals: 1, ..SloTotals::default() });
         self.live_open += 1;
-        if let Some(i) = slot {
-            self.slots[i].arrivals += 1;
-        }
     }
 
     /// Records an admission rejection.
     pub fn on_rejected(&mut self, t: SimTime) {
-        let slot = self.touch(t);
-        self.totals.rejected += 1;
-        self.live_open = self.live_open.saturating_sub(1);
-        if let Some(i) = slot {
-            self.slots[i].rejected += 1;
-        }
+        self.close(t, SloTotals { rejected: 1, ..SloTotals::default() }, None);
     }
 
     /// Records a full completion; `latency_us` is end-to-end, `missed` marks
     /// a past-deadline finish.
     pub fn on_completed(&mut self, t: SimTime, latency_us: u64, missed: bool) {
-        let slot = self.touch(t);
-        self.totals.completed += 1;
-        self.totals.missed += missed as u64;
-        self.live_open = self.live_open.saturating_sub(1);
-        if let Some(i) = slot {
-            let w = &mut self.slots[i];
-            w.completed += 1;
-            w.missed += missed as u64;
-            w.latency.record_us(latency_us);
-        }
+        let delta = SloTotals { completed: 1, missed: missed as u64, ..SloTotals::default() };
+        self.close(t, delta, Some(latency_us));
     }
 
     /// Records a degraded answer.
     pub fn on_degraded(&mut self, t: SimTime, latency_us: u64, missed: bool) {
-        let slot = self.touch(t);
-        self.totals.degraded += 1;
-        self.totals.missed += missed as u64;
-        self.live_open = self.live_open.saturating_sub(1);
-        if let Some(i) = slot {
-            let w = &mut self.slots[i];
-            w.degraded += 1;
-            w.missed += missed as u64;
-            w.latency.record_us(latency_us);
-        }
+        let delta = SloTotals { degraded: 1, missed: missed as u64, ..SloTotals::default() };
+        self.close(t, delta, Some(latency_us));
     }
 
     /// Records a post-admission expiry (always a deadline miss).
     pub fn on_expired(&mut self, t: SimTime) {
-        let slot = self.touch(t);
-        self.totals.expired += 1;
-        self.totals.missed += 1;
-        self.live_open = self.live_open.saturating_sub(1);
-        if let Some(i) = slot {
-            let w = &mut self.slots[i];
-            w.expired += 1;
-            w.missed += 1;
-        }
+        self.close(t, SloTotals { expired: 1, missed: 1, ..SloTotals::default() }, None);
     }
 
     /// Records one planning pass.
     pub fn on_plan(&mut self, t: SimTime, cost: SimDuration, work: u64) {
-        let slot = self.touch(t);
-        self.totals.plans += 1;
-        self.totals.sched_cost_us += cost.as_micros();
-        self.totals.plan_work += work;
-        if let Some(i) = slot {
-            let w = &mut self.slots[i];
-            w.plans += 1;
-            w.sched_cost_us += cost.as_micros();
-            w.plan_work += work;
-        }
+        let delta = SloTotals {
+            plans: 1,
+            sched_cost_us: cost.as_micros(),
+            plan_work: work,
+            ..SloTotals::default()
+        };
+        self.add(t, delta);
     }
 
     /// Records a task failure.
     pub fn on_task_failed(&mut self, t: SimTime) {
-        let slot = self.touch(t);
-        self.totals.failures += 1;
-        if let Some(i) = slot {
-            self.slots[i].failures += 1;
-        }
+        self.add(t, SloTotals { failures: 1, ..SloTotals::default() });
     }
 
     /// Records a task retry.
     pub fn on_task_retried(&mut self, t: SimTime) {
-        let slot = self.touch(t);
-        self.totals.retries += 1;
-        if let Some(i) = slot {
-            self.slots[i].retries += 1;
-        }
+        self.add(t, SloTotals { retries: 1, ..SloTotals::default() });
     }
 
     /// Records a work-steal adoption. The query stays open (stealing moves
     /// it between shards without closing it), so only the counters move.
     pub fn on_stolen(&mut self, t: SimTime) {
-        let slot = self.touch(t);
-        self.totals.stolen += 1;
-        if let Some(i) = slot {
-            self.slots[i].stolen += 1;
-        }
+        self.add(t, SloTotals { stolen: 1, ..SloTotals::default() });
     }
 
-    /// The retained windows in ascending index order, with the newest
-    /// window's queue depth stamped from the live gauge. A slot whose window
+    /// The retained windows in ascending index order. A slot whose window
     /// was logically evicted by a far jump (its index now trails the newest
     /// by at least the capacity) is excluded even if nothing overwrote it.
-    pub fn windows(&self) -> Vec<WindowStats> {
+    pub fn windows(&self) -> Vec<&WindowStats> {
         let cap = self.slots.len() as u64;
-        let mut out: Vec<WindowStats> = self
+        let mut out: Vec<&WindowStats> = self
             .slots
             .iter()
             .filter(|s| s.index != EMPTY_SLOT && s.index + cap > self.max_index)
-            .cloned()
             .collect();
         out.sort_by_key(|w| w.index);
-        if let Some(last) = out.last_mut() {
-            if last.open_at_end.is_none() {
-                last.open_at_end = Some(self.live_open);
-            }
-        }
         out
+    }
+
+    /// Open queries when `w` closed; the newest window, still open, reads
+    /// the live gauge.
+    pub fn queue_depth(&self, w: &WindowStats) -> Option<u64> {
+        w.open_at_end.or((w.index == self.max_index).then_some(self.live_open))
     }
 
     /// Merges two series (e.g. per-shard folds) window-by-absolute-index:
@@ -378,11 +256,13 @@ impl SloSeries {
         assert_eq!(self.window_us, other.window_us, "window widths must match to merge");
         let mut out =
             SloSeries::new(SimDuration(self.window_us), self.slots.len().max(other.slots.len()));
-        let mut all = self.windows();
-        all.extend(other.windows());
-        all.sort_by_key(|w| w.index);
+        let mut all: Vec<_> = [self, other]
+            .into_iter()
+            .flat_map(|s| s.windows().into_iter().map(move |w| (w, s.queue_depth(w))))
+            .collect();
+        all.sort_by_key(|(w, _)| w.index);
         let cap = out.slots.len() as u64;
-        for w in all {
+        for (w, depth) in all {
             if out.max_index == EMPTY_SLOT || w.index > out.max_index {
                 out.max_index = w.index;
             }
@@ -394,39 +274,15 @@ impl SloSeries {
                 *slot = WindowStats { index: w.index, ..WindowStats::default() };
                 slot.open_at_end = Some(0);
             }
-            slot.arrivals += w.arrivals;
-            slot.completed += w.completed;
-            slot.degraded += w.degraded;
-            slot.expired += w.expired;
-            slot.rejected += w.rejected;
-            slot.missed += w.missed;
-            slot.failures += w.failures;
-            slot.retries += w.retries;
-            slot.plans += w.plans;
-            slot.sched_cost_us += w.sched_cost_us;
-            slot.plan_work += w.plan_work;
-            slot.stolen += w.stolen;
-            slot.latency.merge_from(&w.latency);
-            slot.open_at_end = match (slot.open_at_end, w.open_at_end) {
+            slot.counts.add(&w.counts);
+            slot.latency.merge(&w.latency);
+            slot.open_at_end = match (slot.open_at_end, depth) {
                 (Some(a), Some(b)) => Some(a + b),
                 _ => None,
             };
         }
-        let t = &mut out.totals;
-        for src in [&self.totals, &other.totals] {
-            t.arrivals += src.arrivals;
-            t.completed += src.completed;
-            t.degraded += src.degraded;
-            t.expired += src.expired;
-            t.rejected += src.rejected;
-            t.missed += src.missed;
-            t.failures += src.failures;
-            t.retries += src.retries;
-            t.plans += src.plans;
-            t.sched_cost_us += src.sched_cost_us;
-            t.plan_work += src.plan_work;
-            t.stolen += src.stolen;
-        }
+        out.totals.add(&self.totals);
+        out.totals.add(&other.totals);
         out.live_open = self.live_open + other.live_open;
         out
     }
@@ -449,13 +305,13 @@ mod tests {
         s.on_expired(at(250));
         let ws = s.windows();
         assert_eq!(ws.len(), 3);
-        assert_eq!((ws[0].index, ws[0].arrivals), (0, 2));
-        assert_eq!((ws[1].index, ws[1].completed), (1, 1));
-        assert_eq!((ws[2].index, ws[2].expired, ws[2].missed), (2, 1, 1));
+        assert_eq!((ws[0].index, ws[0].counts.arrivals), (0, 2));
+        assert_eq!((ws[1].index, ws[1].counts.completed), (1, 1));
+        assert_eq!((ws[2].index, ws[2].counts.expired, ws[2].counts.missed), (2, 1, 1));
         // Queue depth: 2 open after window 0, 1 after window 1, 0 now.
-        assert_eq!(ws[0].open_at_end, Some(2));
-        assert_eq!(ws[1].open_at_end, Some(1));
-        assert_eq!(ws[2].open_at_end, Some(0));
+        assert_eq!(s.queue_depth(ws[0]), Some(2));
+        assert_eq!(s.queue_depth(ws[1]), Some(1));
+        assert_eq!(s.queue_depth(ws[2]), Some(0));
         assert_eq!(s.totals.arrivals, 2);
         assert_eq!(s.totals.missed, 1);
     }
@@ -487,25 +343,24 @@ mod tests {
         s.on_completed(at(65), 60_000, true);
         let ws = s.windows();
         assert_eq!(ws.iter().map(|w| w.index).collect::<Vec<_>>(), vec![0, 6]);
-        assert_eq!(ws[1].missed, 1);
+        assert_eq!(ws[1].counts.missed, 1);
     }
 
     #[test]
-    fn quantiles_are_integer_bucket_edges() {
-        let mut h = LatencyWindow::default();
-        for _ in 0..99 {
-            h.record_us(10_000);
+    fn window_latency_is_recorded_in_exact_nanoseconds() {
+        let mut s = SloSeries::new(SimDuration::from_millis(1000), 8);
+        for q in 0..99 {
+            s.on_arrival(at(q));
+            s.on_completed(at(q + 10), 10_000, false);
         }
-        h.record_us(1_000_000);
-        let p50 = h.quantile_us(0.50).unwrap();
-        let p99 = h.quantile_us(0.99).unwrap();
-        assert!((8_000..=14_000).contains(&p50), "p50 {p50}");
-        assert!((8_000..=14_000).contains(&p99), "p99 {p99}: 99 of 100 at 10ms");
-        assert_eq!(h.quantile_us(1.0).map(|q| q > 800_000), Some(true));
-        assert_eq!(LatencyWindow::default().quantile_us(0.5), None);
-        let mut tiny = LatencyWindow::default();
-        tiny.record_us(10); // below the first edge
-        assert_eq!(tiny.quantile_us(0.5), Some(0));
+        s.on_arrival(at(100));
+        s.on_degraded(at(198), 98_000, true);
+        let w = s.windows()[0];
+        assert_eq!((w.latency.count(), w.latency.sum()), (100, 99 * 10_000_000 + 98_000_000));
+        let p50 = w.latency.quantile(0.5).unwrap();
+        assert!((10_000_000..10_000_000 + 10_000_000 / 8).contains(&p50), "p50 {p50}");
+        assert!(w.latency.quantile(1.0).unwrap() >= 98_000_000);
+        assert_eq!(w.counts.missed, 1);
     }
 
     #[test]
@@ -518,9 +373,9 @@ mod tests {
         b.on_arrival(at(120));
         let m = a.merged(&b);
         let ws = m.windows();
-        assert_eq!(ws[0].arrivals, 2);
-        assert_eq!(ws[0].completed, 1);
-        assert_eq!(ws[1].arrivals, 1);
+        assert_eq!(ws[0].counts.arrivals, 2);
+        assert_eq!(ws[0].counts.completed, 1);
+        assert_eq!(ws[1].counts.arrivals, 1);
         assert_eq!(m.totals.arrivals, 3);
         assert_eq!(m.live_open(), 2);
         // Merge is symmetric.

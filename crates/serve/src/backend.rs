@@ -49,7 +49,7 @@ pub(crate) fn publish(bank: &ExecutorBank, metrics: &RuntimeMetrics, sizes_seen:
     c.tasks_completed.store(completed, Relaxed);
     c.tasks_batched.store(bank.tasks_batched(), Relaxed);
     for &size in &bank.batch_sizes()[*sizes_seen..] {
-        metrics.batch_size.record(f64::from(size));
+        metrics.batch_size.record(u64::from(size));
     }
     *sizes_seen = bank.batch_sizes().len();
 }

@@ -170,8 +170,10 @@ fn sync_metrics(engine: &mut dyn PipelineEngine, metrics: &RuntimeMetrics) {
     // Thief-side counting: per-shard sums of `stolen_in` merge into the
     // global transfer total (each transfer has exactly one adoption).
     c.queries_stolen.store(s.stolen_in, Relaxed);
+    // Latencies are whole simulated microseconds, so rounding recovers the
+    // exact nanosecond count `metrics_from_events` records for a DES run.
     for (_, latency_secs) in engine.take_completions() {
-        metrics.latency.record(latency_secs);
+        metrics.latency.record((latency_secs * 1e9).round() as u64);
     }
 }
 

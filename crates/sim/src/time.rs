@@ -97,6 +97,11 @@ impl SimDuration {
         self.0
     }
 
+    /// Nanoseconds (exact: the duration is a whole number of microseconds).
+    pub const fn as_nanos(self) -> u64 {
+        self.0.saturating_mul(1000)
+    }
+
     /// Seconds as `f64` (for reporting only).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6

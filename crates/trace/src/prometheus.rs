@@ -1,21 +1,31 @@
 //! Prometheus text-exposition exporter.
 //!
 //! Renders the runtime's lock-light metrics ([`RuntimeMetrics`] counters,
-//! per-executor gauges, the latency histogram) and the scheduler's
-//! self-profile ([`PlanningProfile`]) in the Prometheus text format
-//! (version 0.0.4), hand-rolled like the rest of the workspace's exporters.
-//! Histograms emit cumulative `le` buckets at the log-spaced bucket edges
-//! that actually hold observations, plus the mandatory `+Inf`/`_sum`/
-//! `_count` series.
+//! per-executor gauges, the latency and batch-size histograms) and the
+//! scheduler's self-profile ([`PlanningProfile`]) in the Prometheus text
+//! format (version 0.0.4), hand-rolled like the rest of the workspace's
+//! exporters. The writer helpers here are public so every exposition in
+//! the workspace (`schemble-obs` included) is written by the same code.
+//! Histograms emit cumulative `le` buckets at the integer bucket edges that
+//! actually hold observations, plus the mandatory `+Inf`/`_sum`/`_count`
+//! series.
 
 use crate::sink::PlanningProfile;
-use schemble_metrics::{LatencyHistogram, RuntimeMetrics};
-use std::fmt::Write as _;
+use schemble_metrics::runtime::ExecutorGauges;
+use schemble_metrics::{Histogram, RuntimeMetrics};
+use std::fmt::{Display, Write as _};
 use std::sync::atomic::Ordering::Relaxed;
 
-fn family(out: &mut String, name: &str, kind: &str, help: &str) {
+/// The `# HELP` / `# TYPE` header of one metric family.
+pub fn family(out: &mut String, name: &str, kind: &str, help: &str) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} {kind}");
+}
+
+/// A family holding one unlabelled sample.
+pub fn scalar(out: &mut String, name: &str, kind: &str, help: &str, value: impl Display) {
+    family(out, name, kind, help);
+    let _ = writeln!(out, "{name} {value}");
 }
 
 /// Escapes a label *value* per the Prometheus text format: backslash,
@@ -41,16 +51,33 @@ pub(crate) fn labeled_sample(
     name: &str,
     label: &str,
     value: &str,
-    sample: impl std::fmt::Display,
+    sample: impl Display,
 ) {
     let _ = writeln!(out, "{name}{{{label}=\"{}\"}} {sample}", escape_label(value));
 }
 
-fn histogram(out: &mut String, name: &str, help: &str, hist: &LatencyHistogram) {
+/// A family with one sample per `(label value, sample)` pair.
+pub fn labeled<K: Display, V: Display>(
+    out: &mut String,
+    name: &str,
+    kind: &str,
+    help: &str,
+    label: &str,
+    samples: impl IntoIterator<Item = (K, V)>,
+) {
+    family(out, name, kind, help);
+    for (key, sample) in samples {
+        labeled_sample(out, name, label, &key.to_string(), sample);
+    }
+}
+
+/// A histogram family, with bucket edges and the sum in the histogram's
+/// exported unit (seconds for latencies, plain values for counts).
+pub fn histogram(out: &mut String, name: &str, help: &str, hist: &Histogram) {
     family(out, name, "histogram", help);
     let total = hist.count();
     for (upper, cumulative) in hist.cumulative_buckets() {
-        let _ = writeln!(out, "{name}_bucket{{le=\"{upper}\"}} {cumulative}");
+        let _ = writeln!(out, "{name}_bucket{{le=\"{}\"}} {cumulative}", hist.to_unit(upper));
     }
     let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {total}");
     let _ = writeln!(out, "{name}_sum {}", hist.sum_secs());
@@ -68,150 +95,106 @@ pub fn prometheus_text(
     let mut out = String::with_capacity(4096);
     let c = &metrics.counters;
     for (name, help, value) in [
-        (
-            "schemble_queries_submitted_total",
-            "Queries handed to the pipeline.",
-            c.submitted.load(Relaxed),
-        ),
-        (
-            "schemble_queries_completed_total",
-            "Queries completed with a result.",
-            c.completed.load(Relaxed),
-        ),
-        (
-            "schemble_queries_rejected_total",
-            "Queries refused at arrival.",
-            c.rejected.load(Relaxed),
-        ),
-        (
-            "schemble_queries_expired_total",
-            "Queries dropped after admission.",
-            c.expired.load(Relaxed),
-        ),
-        (
-            "schemble_tasks_started_total",
-            "Tasks started on executors.",
-            c.tasks_started.load(Relaxed),
-        ),
-        (
-            "schemble_tasks_completed_total",
-            "Tasks finished by executors.",
-            c.tasks_completed.load(Relaxed),
-        ),
+        ("schemble_queries_submitted_total", "Queries handed to the pipeline.", &c.submitted),
+        ("schemble_queries_completed_total", "Queries completed with a result.", &c.completed),
+        ("schemble_queries_rejected_total", "Queries refused at arrival.", &c.rejected),
+        ("schemble_queries_expired_total", "Queries dropped after admission.", &c.expired),
+        ("schemble_tasks_started_total", "Tasks started on executors.", &c.tasks_started),
+        ("schemble_tasks_completed_total", "Tasks finished by executors.", &c.tasks_completed),
         (
             "schemble_queries_degraded_total",
             "Queries answered from a partial ensemble.",
-            c.degraded.load(Relaxed),
+            &c.degraded,
         ),
         (
             "schemble_tasks_failed_total",
             "Tasks that failed (transient fault, timeout, crash).",
-            c.tasks_failed.load(Relaxed),
+            &c.tasks_failed,
         ),
         (
             "schemble_tasks_retried_total",
             "Failed tasks re-dispatched after backoff.",
-            c.tasks_retried.load(Relaxed),
+            &c.tasks_retried,
         ),
         (
             "schemble_tasks_saved_total",
             "Planned tasks quit by the anytime policy before completing.",
-            c.tasks_saved.load(Relaxed),
+            &c.tasks_saved,
         ),
         (
             "schemble_tasks_batched_total",
             "Tasks launched as members of a cross-query batch.",
-            c.tasks_batched.load(Relaxed),
+            &c.tasks_batched,
         ),
     ] {
-        family(&mut out, name, "counter", help);
-        let _ = writeln!(out, "{name} {value}");
+        scalar(&mut out, name, "counter", help, value.load(Relaxed));
     }
     // Emitted only when the run actually stole work, so expositions from
     // runs without `--steal-epoch-ms` stay byte-identical to historical
     // output.
     let stolen = c.queries_stolen.load(Relaxed);
     if stolen > 0 {
-        family(
+        scalar(
             &mut out,
             "schemble_queries_stolen_total",
             "counter",
             "Queries transferred between shards by work stealing.",
+            stolen,
         );
-        let _ = writeln!(out, "schemble_queries_stolen_total {stolen}");
     }
-    family(&mut out, "schemble_queries_open", "gauge", "Queries submitted but not yet decided.");
-    let _ = writeln!(out, "schemble_queries_open {}", c.open());
+    scalar(
+        &mut out,
+        "schemble_queries_open",
+        "gauge",
+        "Queries submitted but not yet decided.",
+        c.open(),
+    );
 
-    family(
+    let executors = &metrics.executors;
+    let busy_secs = |e: &ExecutorGauges| e.busy_micros.load(Relaxed) as f64 / 1e6;
+    let per_executor = |get: fn(&ExecutorGauges) -> u64| executors.iter().map(get).enumerate();
+    labeled(
         &mut out,
         "schemble_executor_queue_depth",
         "gauge",
         "Tasks waiting in the executor's FIFO backlog.",
+        "executor",
+        per_executor(|e| e.queue_depth.load(Relaxed)),
     );
-    for (k, e) in metrics.executors.iter().enumerate() {
-        labeled_sample(
-            &mut out,
-            "schemble_executor_queue_depth",
-            "executor",
-            &k.to_string(),
-            e.queue_depth.load(Relaxed),
-        );
-    }
-    family(
+    labeled(
         &mut out,
         "schemble_executor_busy_seconds_total",
         "counter",
         "Cumulative busy time per executor.",
+        "executor",
+        executors.iter().map(busy_secs).enumerate(),
     );
-    for (k, e) in metrics.executors.iter().enumerate() {
-        labeled_sample(
-            &mut out,
-            "schemble_executor_busy_seconds_total",
-            "executor",
-            &k.to_string(),
-            e.busy_micros.load(Relaxed) as f64 / 1e6,
-        );
-    }
-    family(&mut out, "schemble_executor_tasks_total", "counter", "Tasks completed per executor.");
-    for (k, e) in metrics.executors.iter().enumerate() {
-        labeled_sample(
-            &mut out,
-            "schemble_executor_tasks_total",
-            "executor",
-            &k.to_string(),
-            e.tasks.load(Relaxed),
-        );
-    }
-    family(
+    labeled(
+        &mut out,
+        "schemble_executor_tasks_total",
+        "counter",
+        "Tasks completed per executor.",
+        "executor",
+        per_executor(|e| e.tasks.load(Relaxed)),
+    );
+    labeled(
         &mut out,
         "schemble_executor_up",
         "gauge",
         "Whether the executor is up (1) or down (0).",
+        "executor",
+        per_executor(|e| e.up.load(Relaxed)),
     );
-    for (k, e) in metrics.executors.iter().enumerate() {
-        labeled_sample(
-            &mut out,
-            "schemble_executor_up",
-            "executor",
-            &k.to_string(),
-            e.up.load(Relaxed),
-        );
-    }
-    family(
+    let utilization =
+        |e| if elapsed_secs > 0.0 { (busy_secs(e) / elapsed_secs).min(1.0) } else { 0.0 };
+    labeled(
         &mut out,
         "schemble_executor_utilization",
         "gauge",
         "Fraction of elapsed time the executor was busy.",
+        "executor",
+        executors.iter().map(utilization).enumerate(),
     );
-    for (k, e) in metrics.executors.iter().enumerate() {
-        let util = if elapsed_secs > 0.0 {
-            (e.busy_micros.load(Relaxed) as f64 / 1e6 / elapsed_secs).min(1.0)
-        } else {
-            0.0
-        };
-        labeled_sample(&mut out, "schemble_executor_utilization", "executor", &k.to_string(), util);
-    }
 
     histogram(
         &mut out,
@@ -227,26 +210,26 @@ pub fn prometheus_text(
     );
 
     if let Some(p) = planning {
-        family(&mut out, "schemble_sched_plans_total", "counter", "Scheduler planning passes.");
-        let _ = writeln!(out, "schemble_sched_plans_total {}", p.plans.load(Relaxed));
-        family(
+        scalar(
+            &mut out,
+            "schemble_sched_plans_total",
+            "counter",
+            "Scheduler planning passes.",
+            p.plans(),
+        );
+        scalar(
             &mut out,
             "schemble_sched_plan_work_units_total",
             "counter",
             "Abstract work units consumed by the scheduler.",
+            p.work_units.load(Relaxed),
         );
-        let _ =
-            writeln!(out, "schemble_sched_plan_work_units_total {}", p.work_units.load(Relaxed));
-        family(
+        scalar(
             &mut out,
             "schemble_sched_plan_wall_seconds_total",
             "counter",
             "Wall-clock time spent planning.",
-        );
-        let _ = writeln!(
-            out,
-            "schemble_sched_plan_wall_seconds_total {}",
-            p.wall_nanos.load(Relaxed) as f64 / 1e9
+            p.hist.sum_secs(),
         );
         histogram(
             &mut out,
@@ -319,7 +302,7 @@ pub fn metrics_from_events(
             TraceEvent::QueryDone { t, query, .. } => {
                 c.completed.fetch_add(1, Relaxed);
                 if let Some(t0) = arrivals.get(&query) {
-                    metrics.latency.record((t - *t0).as_secs_f64());
+                    metrics.latency.record((t - *t0).as_nanos());
                 }
             }
             TraceEvent::QueryExpired { .. } => {
@@ -351,7 +334,7 @@ pub fn metrics_from_events(
             TraceEvent::DegradedAnswer { t, query, .. } => {
                 c.degraded.fetch_add(1, Relaxed);
                 if let Some(t0) = arrivals.get(&query) {
-                    metrics.latency.record((t - *t0).as_secs_f64());
+                    metrics.latency.record((t - *t0).as_nanos());
                 }
             }
             // Introspection-only events: no runtime counter changes.
@@ -359,7 +342,7 @@ pub fn metrics_from_events(
             // already count above.
             TraceEvent::BatchFormed { size, .. } => {
                 c.tasks_batched.fetch_add(size as u64, Relaxed);
-                metrics.batch_size.record(size as f64);
+                metrics.batch_size.record(u64::from(size));
             }
             TraceEvent::QueryStolen { query, arrival, .. } => {
                 c.queries_stolen.fetch_add(1, Relaxed);
@@ -393,7 +376,7 @@ mod tests {
         let metrics = RuntimeMetrics::new(2);
         metrics.counters.submitted.fetch_add(10, Relaxed);
         metrics.counters.completed.fetch_add(9, Relaxed);
-        metrics.latency.record(0.05);
+        metrics.latency.record(50_000_000);
         let planning = PlanningProfile::default();
         planning.record(40, Duration::from_micros(200));
         let text = prometheus_text(&metrics, 2.0, Some(&planning));

@@ -11,7 +11,7 @@
 //! truncated trace with an honest drop count beats a silently rewritten one.
 
 use crate::event::TraceEvent;
-use schemble_metrics::LatencyHistogram;
+use schemble_metrics::Histogram;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -23,42 +23,40 @@ pub const DEFAULT_CAPACITY: usize = 1 << 20;
 ///
 /// Recorded on **every** plan regardless of whether event tracing is
 /// enabled — the paper's Sec. VI scheduling-overhead measurement as a
-/// first-class metric. All fields are relaxed atomics; recording is a
-/// wall-clock measurement and never feeds back into decisions.
+/// first-class metric. Recording is a wall-clock measurement and never
+/// feeds back into decisions.
 #[derive(Debug, Default)]
 pub struct PlanningProfile {
-    /// Plans produced.
-    pub plans: AtomicU64,
     /// Total abstract work units consumed across plans.
     pub work_units: AtomicU64,
-    /// Total wall-clock nanoseconds spent planning.
-    pub wall_nanos: AtomicU64,
-    /// Wall-clock planning-time histogram, in seconds.
-    pub hist: LatencyHistogram,
+    /// Wall-clock duration of each planning pass, nanoseconds: its count is
+    /// the number of plans and its exact sum the total planning time.
+    pub hist: Histogram,
 }
 
 impl PlanningProfile {
     /// Records one planning pass: its abstract work and real duration.
     pub fn record(&self, work: u64, wall: Duration) {
-        self.plans.fetch_add(1, Relaxed);
         self.work_units.fetch_add(work, Relaxed);
-        self.wall_nanos.fetch_add(wall.as_nanos() as u64, Relaxed);
-        self.hist.record(wall.as_secs_f64());
+        self.hist.record(u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX));
+    }
+
+    /// Plans produced.
+    pub fn plans(&self) -> u64 {
+        self.hist.count()
     }
 
     /// Mean wall-clock planning time in seconds, if any plan ran.
     pub fn mean_secs(&self) -> Option<f64> {
-        let n = self.plans.load(Relaxed);
-        (n > 0).then(|| self.wall_nanos.load(Relaxed) as f64 / 1e9 / n as f64)
+        let n = self.plans();
+        (n > 0).then(|| self.hist.sum_secs() / n as f64)
     }
 
     /// Folds `other`'s profile into `self` (order-insensitive): used to
     /// aggregate the per-shard scheduler self-profiles of a sharded serve
     /// run into one exportable profile.
     pub fn merge(&self, other: &PlanningProfile) {
-        self.plans.fetch_add(other.plans.load(Relaxed), Relaxed);
         self.work_units.fetch_add(other.work_units.load(Relaxed), Relaxed);
-        self.wall_nanos.fetch_add(other.wall_nanos.load(Relaxed), Relaxed);
         self.hist.merge(&other.hist);
     }
 }
@@ -245,11 +243,40 @@ mod tests {
         let sink = TraceSink::disabled();
         sink.planning.record(100, Duration::from_micros(250));
         sink.planning.record(300, Duration::from_micros(750));
-        assert_eq!(sink.planning.plans.load(Relaxed), 2);
+        assert_eq!(sink.planning.plans(), 2);
         assert_eq!(sink.planning.work_units.load(Relaxed), 400);
         let mean = sink.planning.mean_secs().expect("two plans recorded");
         assert!((mean - 500e-6).abs() < 1e-9, "mean {mean}");
-        assert_eq!(sink.planning.hist.count(), 2);
+    }
+
+    #[test]
+    fn microsecond_plans_resolve_to_a_nonzero_p95_and_an_exact_sum() {
+        // Real plans take a few microseconds; each must land in its own
+        // bucket rather than below a floor, and the exported sum must be the
+        // exact nanosecond total, not a truncated one.
+        let profile = PlanningProfile::default();
+        let walls: Vec<u64> = (1..=10).flat_map(|us| [us * 1_000, us * 1_000 + 371]).collect();
+        for &ns in &walls {
+            profile.record(1, Duration::from_nanos(ns));
+        }
+        let mut sorted = walls.clone();
+        sorted.sort_unstable();
+        let exact_p95 = sorted[(0.95 * sorted.len() as f64).ceil() as usize - 1];
+        let p95 = profile.hist.quantile(0.95).expect("plans recorded");
+        assert!(p95 > 0, "p95 must not fall into an underflow bucket");
+        assert!(p95 >= exact_p95 && p95 - exact_p95 < exact_p95 / 8, "p95 {p95} vs {exact_p95}");
+        let total: u64 = walls.iter().sum();
+        assert_eq!(profile.hist.sum(), total);
+        let text =
+            crate::prometheus_text(&schemble_metrics::RuntimeMetrics::new(1), 1.0, Some(&profile));
+        let line = |prefix: &str| {
+            text.lines().find_map(|l| l.strip_prefix(prefix)).expect("line present").to_string()
+        };
+        assert_eq!(line("schemble_sched_plan_seconds_sum "), (total as f64 / 1e9).to_string());
+        assert_eq!(
+            line("schemble_sched_plan_seconds_sum "),
+            line("schemble_sched_plan_wall_seconds_total ")
+        );
     }
 
     #[test]

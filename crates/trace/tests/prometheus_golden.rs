@@ -14,8 +14,8 @@ use std::time::Duration;
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_metrics.prom");
 
 /// A fully deterministic metrics fixture exercising every family: counters,
-/// per-executor gauges (two executors, one down), a multi-bucket latency
-/// histogram, and the scheduler self-profile.
+/// per-executor gauges (two executors, one down), multi-bucket latency and
+/// batch-size histograms, and the scheduler self-profile.
 fn fixture() -> (RuntimeMetrics, PlanningProfile) {
     let metrics = RuntimeMetrics::new(2);
     let c = &metrics.counters;
@@ -34,8 +34,11 @@ fn fixture() -> (RuntimeMetrics, PlanningProfile) {
     metrics.executors[1].busy_micros.store(250_000, Relaxed);
     metrics.executors[1].tasks.store(12, Relaxed);
     metrics.executors[1].up.store(0, Relaxed);
-    for lat in [0.0005, 0.004, 0.004, 0.032, 0.25] {
-        metrics.latency.record(lat);
+    for lat_ns in [500_000, 4_000_000, 4_000_000, 32_000_000, 250_000_000] {
+        metrics.latency.record(lat_ns);
+    }
+    for size in [1, 2, 2, 8] {
+        metrics.batch_size.record(size);
     }
     let planning = PlanningProfile::default();
     planning.record(40, Duration::from_micros(200));

@@ -612,9 +612,9 @@ fn finish_recorder(cli: &Cli, recorder: &Option<Arc<FlightRecorder>>) -> Result<
 /// Prints the scheduler's self-profile when at least one plan ran.
 fn print_planning(sink: &TraceSink) {
     let p = &sink.planning;
-    let n = p.plans.load(Relaxed);
+    let n = p.plans();
     let Some(mean) = p.mean_secs() else { return };
-    let p95 = p.hist.quantile(0.95).unwrap_or(mean);
+    let p95 = p.hist.quantile_secs(0.95).unwrap_or(mean);
     println!(
         "  scheduler: {n} plans, mean {:.1} us, p95 {:.1} us, {} work units planned",
         mean * 1e6,
